@@ -13,10 +13,10 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ablation_mtat", "DESIGN.md §6 (ablations of §3's design choices)");
+  RootContext root = banner("ablation_mtat", "DESIGN.md §6 (ablations of §3's design choices)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
 
   struct Variant {
     const char* name;
@@ -65,7 +65,7 @@ int main() {
                        results[i] = sim.result();
                      }});
   }
-  runner.run_all(specs);
+  runner.run_all(specs, root);
 
   std::printf("%-12s %10s %9s %10s %13s\n", "variant", "P99(ms)", "viol%", "fairness",
               "BE tput");

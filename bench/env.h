@@ -12,16 +12,20 @@
 //   MTAT_SCALE        smoke|small|large scale preset (default small; smoke is
 //                                      a seconds-long CI preset)
 //   MTAT_EPOCHS       non-negative int RL training epochs override
-//   MTAT_TRACE        path             write a Chrome trace_event file
-//   MTAT_TRACE_EVENTS positive int     trace ring capacity override
+//   MTAT_TRACE        path             enable the root context's recorder and
+//                                      write its Chrome trace_event file when
+//                                      main() ends (bench::banner's root)
+//   MTAT_TRACE_EVENTS positive int     trace ring capacity override (the
+//                                      root's, and every spec ring's)
 //   MTAT_JOBS         non-negative int experiment parallelism; 0 = one job
 //                                      per hardware thread (the default)
 //   MTAT_NODES        positive int     cluster bench fleet size override
 //                                      (default: the scale preset's node count)
-//   MTAT_FAULTS       preset[:x]       fault-injection plan for every run in
-//                                      the process (e.g. storm, storm:0.5);
-//                                      validated against the known presets by
-//                                      the harness hook (faults::FaultPlan)
+//   MTAT_FAULTS       preset[:x]       fault-injection plan of the root
+//                                      context, inherited by every run under
+//                                      it (e.g. storm, storm:0.5); validated
+//                                      against the known presets by
+//                                      bench::banner (faults::FaultPlan)
 //   MTAT_CLUSTER_FAULTS preset[:x][:warm|:cold] fleet-level fault plan for the
 //                                      cluster benches (e.g. storm,
 //                                      storm:0.5:cold); validated by
@@ -56,7 +60,7 @@ struct Env {
   std::optional<int> nodes;           ///< MTAT_NODES (unset: preset default)
   /// MTAT_FAULTS, verbatim (empty: no faults). Kept as the raw spec so this
   /// header doesn't depend on the faults library; bench/harness.h's
-  /// FaultsEnvHook parses it via faults::FaultPlan::from_spec and warns on
+  /// RootContext parses it via faults::FaultPlan::from_spec and warns on
   /// anything malformed.
   std::string faults;
   /// MTAT_CLUSTER_FAULTS, verbatim (empty: healthy fleet). Raw for the same

@@ -17,10 +17,10 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_bandwidth_baselines", "extensions (paper §7 / related work)");
+  RootContext root = banner("ext_bandwidth_baselines", "extensions (paper §7 / related work)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
   CsvWriter csv("ext_bandwidth_baselines.csv",
                 {"experiment", "config", "p99_ms", "viol_pct", "fairness", "be_tput"});
 
@@ -44,7 +44,7 @@ int main() {
                          sim.run(pattern, pattern.total_length());
                          ext1[i] = sim.result();
                        }});
-    runner.run_all(specs);
+    runner.run_all(specs, root);
   }
   std::printf("[1] extended baseline set (Figure-5 conditions)\n");
   std::printf("%-13s %10s %9s %10s %13s\n", "policy", "P99(ms)", "viol%", "fairness",
@@ -83,7 +83,7 @@ int main() {
                          ext2[a].r = sim.result();
                          ext2[a].fmem_factor = sim.mem().contention_factor(kFastestTier);
                        }});
-    runner.run_all(specs);
+    runner.run_all(specs, root);
   }
   std::printf("\n[2] bandwidth-aware PP-E backoff on a constrained platform\n");
   std::printf("%-22s %10s %9s %13s %9s\n", "config", "P99(ms)", "viol%", "BE tput",

@@ -26,11 +26,11 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_cluster_fault_tolerance",
+  RootContext root = banner("ext_cluster_fault_tolerance",
          "extension: fleet-level failure domain (DESIGN.md §17)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner, /*n_be=*/2);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root, /*n_be=*/2);
   cluster::ClusterConfig cc = make_cluster_config(sc, redis, peak);
   // A faulted run costs several healthy runs (plan.epochs windows plus the
   // checkpoint replay each warm epoch pays), so the grid runs on a reduced
@@ -90,7 +90,7 @@ int main() {
       cfg.faults.reset();  // healthy reference row, whatever the env says
     }
     const auto policy = cluster::make_placement(cell.placement);
-    cluster::ClusterSim sim(cfg);
+    cluster::ClusterSim sim(cfg, &root);
     const cluster::ClusterResult r = sim.run(*policy, &runner);
 
     // Storm compliance: mean over the storm epochs; recovery: epochs after

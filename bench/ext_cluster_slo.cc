@@ -25,13 +25,14 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_cluster_slo", "extension: fleet-scale tenant placement (DESIGN.md §13)");
+  RootContext root =
+      banner("ext_cluster_slo", "extension: fleet-scale tenant placement (DESIGN.md §13)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
   // The static per-node capacity estimate the policies receive is FMEM_ALL's
   // measured peak for the node template's co-location setting — the same
   // calibration the single-node benches use.
-  const double peak = fmem_all_peak_krps(sc, redis, &runner, /*n_be=*/2);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root, /*n_be=*/2);
   const cluster::ClusterConfig cc = make_cluster_config(sc, redis, peak);
   std::printf("fleet: %d nodes x (1 LC + 2 BE), node capacity %.2f KRPS, %d tenants at %.0f%% "
               "fleet utilization\n",
@@ -54,7 +55,7 @@ int main() {
   // tenant population and node seeds.
   for (const std::string& name : cluster::all_placement_names()) {
     const auto policy = cluster::make_placement(name);
-    cluster::ClusterSim sim(cc);
+    cluster::ClusterSim sim(cc, &root);
     const cluster::ClusterResult r = sim.run(*policy, &runner);
     fleet_csv.row(name, {static_cast<double>(cc.nodes), static_cast<double>(sim.tenants().size()),
                          r.offered_krps, r.completed_krps, r.slo_compliance_pct, r.max_p99_ms,

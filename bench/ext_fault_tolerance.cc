@@ -47,10 +47,11 @@ std::vector<TierSpec> three_tier(const Scale& sc) {
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_fault_tolerance", "extension: fault-injection resilience (DESIGN.md §12)");
+  RootContext root =
+      banner("ext_fault_tolerance", "extension: fault-injection resilience (DESIGN.md §12)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
   std::printf("load fixed at 50%% of FMEM_ALL measured max = %.2f KRPS\n", peak);
   CsvWriter csv("ext_fault_tolerance.csv",
                 {"policy", "topology", "intensity", "p99_ms", "slo_violation_pct",
@@ -136,7 +137,7 @@ int main() {
                        cell.transitions = counter_value(ctx, obs::names::kMtatModeTransitions);
                      }});
   }
-  runner.run_all(specs);
+  runner.run_all(specs, root);
 
   std::printf("%-13s %-18s %9s %9s %7s %9s %8s %9s %9s %11s\n", "policy", "topology",
               "intensity", "p99_ms", "viol%", "mig_fail", "retries", "rollbacks", "dropped",

@@ -63,7 +63,8 @@ struct Outcome {
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_ntier_topologies", "extension: N-tier topologies (tier-vector API)");
+  RootContext root =
+      banner("ext_ntier_topologies", "extension: N-tier topologies (tier-vector API)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
   // The surge peak all patterns share; a fixed fraction of the calibrated
@@ -115,7 +116,7 @@ int main() {
                            run_one(policies[i], legs[l].tiers,
                                    ext1[l * policies.size() + i], ctx);
                          }});
-    runner.run_all(specs);
+    runner.run_all(specs, root);
   }
   std::printf("[1] three-tier DRAM/CXL/NVM vs classic two-tier (Figure-5 conditions)\n");
   std::printf("%-20s %-13s %10s %9s %10s %13s\n", "topology", "policy", "P99(ms)", "viol%",
@@ -141,7 +142,7 @@ int main() {
                        [&run_one, &sc, &cascade_policies, &ext2, i](obs::RunContext& ctx) {
                          run_one(cascade_policies[i], four_tier(sc), ext2[i], ctx);
                        }});
-    runner.run_all(specs);
+    runner.run_all(specs, root);
   }
   std::printf("\n[2] four-tier cascade (DRAM/CXL/NVM/remote, fast tier halved)\n");
   std::printf("%-13s %10s %9s %12s %12s %12s %12s\n", "policy", "P99(ms)", "viol%",
@@ -167,7 +168,7 @@ int main() {
     cc.nodes = std::min(cc.nodes, 16);
     cc.node.tiers = three_tier(sc);
     const auto policy = cluster::make_placement("telemetry");
-    cluster::ClusterSim sim(cc);
+    cluster::ClusterSim sim(cc, &root);
     const cluster::ClusterResult r = sim.run(*policy, &runner);
     std::printf("\n[3] three-tier fleet, telemetry placement (%d nodes, %zu tenants)\n",
                 cc.nodes, sim.tenants().size());

@@ -12,10 +12,11 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_rl_learning", "extension (PP-M learning curve; Algorithm 1 in training)");
+  RootContext root =
+      banner("ext_rl_learning", "extension (PP-M learning curve; Algorithm 1 in training)");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
   CsvWriter csv("ext_rl_learning.csv",
                 {"epochs", "viol_pct", "p99_ms", "mean_reward", "mean_lc_share",
                  "be_tput"});
@@ -50,7 +51,7 @@ int main() {
                        for (const auto& tp : o.r.series) o.mean_share += tp.lc_fmem_share;
                        o.mean_share /= static_cast<double>(o.r.series.size());
                      }});
-  runner.run_all(specs);
+  runner.run_all(specs, root);
 
   std::printf("%7s %9s %10s %12s %14s %13s\n", "epochs", "viol%", "P99(ms)", "mean reward",
               "mean LC share", "BE tput");

@@ -13,7 +13,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("ext_zipf_lc", "extension (skewed LC requests; paper §5 uses uniform)");
+  RootContext root = banner("ext_zipf_lc", "extension (skewed LC requests; paper §5 uses uniform)");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter csv("ext_zipf_lc.csv",
                 {"dist", "policy", "p99_ms", "viol_pct", "mean_lc_share", "be_tput"});
@@ -22,7 +22,7 @@ int main() {
   for (bool zipf : {false, true}) {
     LCConfig lc = scaled_lc_config(redis_config(), sc);
     if (zipf) lc.dist = RequestDist::kZipfian;
-    const double peak = 0.9 * fmem_all_peak_krps(sc, lc, &runner);
+    const double peak = 0.9 * fmem_all_peak_krps(sc, lc, runner, root);
     std::printf("\n--- %s requests (pattern peak = 0.9x FMEM_ALL max = %.2f KRPS) ---\n",
                 zipf ? "zipfian(0.99)" : "uniform", peak);
 
@@ -45,7 +45,7 @@ int main() {
                          for (const auto& tp : o.r.series) o.mean_share += tp.lc_fmem_share;
                          o.mean_share /= static_cast<double>(o.r.series.size());
                        }});
-    runner.run_all(specs);
+    runner.run_all(specs, root);
 
     std::printf("%-13s %10s %9s %14s %13s\n", "policy", "P99(ms)", "viol%", "mean LC share",
                 "BE tput");

@@ -10,7 +10,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("fig1_lc_latency_curves", "Figure 1");
+  RootContext root = banner("fig1_lc_latency_curves", "Figure 1");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter csv("fig1_lc_latency_curves.csv",
                 {"workload", "fmem_pct", "offered_krps", "p99_ms", "achieved_krps"});

@@ -15,7 +15,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("fig2_memtis_colocation", "Figure 2");
+  RootContext root = banner("fig2_memtis_colocation", "Figure 2");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
 
@@ -50,7 +50,8 @@ int main() {
 
                      sim.run(pattern, pattern.total_length());
                      r = sim.result();
-                   }}});
+                   }}},
+                 root);
 
   CsvWriter csv("fig2_memtis_colocation.csv",
                 {"t_sec", "offered_krps", "p99_ms", "redis_fmem_ratio"});

@@ -17,7 +17,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("fig5_fig6_dynamic_load", "Figures 5 and 6");
+  RootContext root = banner("fig5_fig6_dynamic_load", "Figures 5 and 6");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter series_csv("fig5_series.csv",
                        {"lc", "policy", "t_sec", "offered_krps", "p99_ms", "lc_fmem_share",
@@ -28,7 +28,7 @@ int main() {
 
   for (const LCConfig& lc : scaled_lc_configs(sc)) {
     std::printf("\n===== LC workload: %s =====\n", lc.name.c_str());
-    const double peak = fmem_all_peak_krps(sc, lc, &runner);
+    const double peak = fmem_all_peak_krps(sc, lc, runner, root);
     std::printf("pattern peak = FMEM_ALL measured max = %.2f KRPS\n", peak);
 
     // The six policies are independent runs over the same pattern — fan them
@@ -53,7 +53,7 @@ int main() {
                          outcomes[i].r = sim.result();
                        }});
     }
-    runner.run_all(specs);
+    runner.run_all(specs, root);
 
     std::printf("%-13s %10s %9s %10s %13s\n", "policy", "P99(ms)", "viol%", "fairness",
                 "BE tput");

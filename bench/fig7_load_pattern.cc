@@ -7,7 +7,7 @@ using namespace mtat;
 using namespace mtat::bench;
 
 int main() {
-  banner("fig7_load_pattern", "Figure 7");
+  RootContext root = banner("fig7_load_pattern", "Figure 7");
   const LoadPattern p = LoadPattern::figure7(100.0);  // in % of max load
   CsvWriter csv("fig7_load_pattern.csv", {"t_sec", "load_pct_of_max"});
   std::printf("%6s %6s   profile\n", "t(s)", "load%");

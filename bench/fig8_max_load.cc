@@ -19,15 +19,17 @@ namespace {
 /// hotter probe must not leak into a cooler one). The MTAT agent is trained
 /// once and shared across probes, which makes the predicate *impure* (each
 /// probe advances the agent), so the bisection must stay on the serial
-/// experiments::find_max_load overload — every probe sim still gets its own
-/// private observability context so policy runs can execute on concurrent
-/// runner workers.
+/// experiments::find_max_load overload — every probe sim still gets an
+/// observability context of its own (carrying `parent`'s fault plan; its
+/// trace is not kept) so policy runs can execute on concurrent runner
+/// workers.
 double measure_max_load(const Scale& sc, const LCConfig& lc, PolicyKind policy,
-                        SacAgent* agent) {
+                        SacAgent* agent, const obs::RunContext& parent) {
   const auto sustainable = [&](double krps) {
     SimConfig cfg = make_sim_config(sc, lc, policy);
     cfg.shared_agent = agent;
-    obs::RunContext ctx(obs::RunContext::TraceMode::kPrivate);
+    obs::RunContext ctx;
+    ctx.inherit_faults(parent);
     ColocationSim sim(cfg, &ctx);
     return experiments::probe_slo_sustainable(sim, krps, /*warm=*/seconds(25),
                                               sc.measure_window);
@@ -40,7 +42,7 @@ double measure_max_load(const Scale& sc, const LCConfig& lc, PolicyKind policy,
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("fig8_max_load", "Figure 8");
+  RootContext root = banner("fig8_max_load", "Figure 8");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter csv("fig8_max_load.csv", {"lc", "policy", "max_krps", "normalized_to_fmem_all"});
   const std::vector<PolicyKind> policies = {PolicyKind::kMtatFull, PolicyKind::kMemtis,
@@ -61,7 +63,7 @@ int main() {
           return experiments::probe_slo_sustainable(sim, krps, /*warm=*/seconds(25),
                                                     sc.measure_window);
         },
-        0.2 * lc.max_load_krps, 1.3 * lc.max_load_krps, 6, runner);
+        0.2 * lc.max_load_krps, 1.3 * lc.max_load_krps, 6, runner, root);
     csv.row({lc.name, "fmem_all"}, {base, 1.0});
 
     // Each policy column is independent (own agent, own training, own serial
@@ -80,10 +82,10 @@ int main() {
                            ColocationSim trainer(cfg, &ctx);
                            train_if_mtat(trainer, sc.train_epochs, base);
                          }
-                         max_krps[i] = measure_max_load(sc, lc, policies[i], agent.get());
+                         max_krps[i] = measure_max_load(sc, lc, policies[i], agent.get(), ctx);
                        }});
     }
-    runner.run_all(specs);
+    runner.run_all(specs, root);
 
     std::printf("%-10s %9.2fK  ", lc.name.c_str(), base);
     for (std::size_t i = 0; i < policies.size(); ++i) {

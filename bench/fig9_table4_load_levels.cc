@@ -15,10 +15,10 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("fig9_table4_load_levels", "Figure 9 and Table 4");
+  RootContext root = banner("fig9_table4_load_levels", "Figure 9 and Table 4");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
   std::printf("load levels relative to FMEM_ALL measured max = %.2f KRPS\n", peak);
   CsvWriter csv("fig9_table4_load_levels.csv",
                 {"policy", "load_pct", "fairness_min_np", "be_total_throughput",
@@ -74,7 +74,7 @@ int main() {
                        cell.be_share = r.series.back().be_fmem_share;
                      }});
   }
-  runner.run_all(specs);
+  runner.run_all(specs, root);
 
   std::printf("%-13s %7s %10s %13s %8s   FMem split (lc|be...)\n", "policy", "load%",
               "fairness", "BE tput", "viol%");

@@ -6,13 +6,15 @@
 // small (default; DESIGN.md's miniature preset, minutes for the whole suite)
 // or large (the §5-scaled preset, substantially slower). MTAT_EPOCHS
 // overrides the RL training epochs run before each measured MTAT phase.
-// Observability (ISSUE: src/obs): setting MTAT_TRACE=path.json makes any
-// bench binary record a Chrome trace_event file (open in chrome://tracing or
-// Perfetto) without per-binary changes; MTAT_TRACE_EVENTS overrides the ring
-// capacity. banner() additionally writes a `<experiment>.manifest.json`
-// sidecar so every CSV in the working directory carries its provenance.
-// Experiment parallelism (MTAT_JOBS, default one job per hardware thread) is
-// exposed as make_runner(); see bench/env.h for all environment knobs.
+// banner() prints the header, writes a `<experiment>.manifest.json` sidecar
+// so every CSV in the working directory carries its provenance, and returns
+// the binary's root RunContext: MTAT_FAULTS becomes its fault plan and
+// MTAT_TRACE=path.json enables its recorder (MTAT_TRACE_EVENTS overrides the
+// ring capacity), and the Chrome trace_event file (chrome://tracing,
+// Perfetto) is written when the root goes out of scope at the end of main().
+// Every run the binary makes descends from the root. Experiment parallelism
+// (MTAT_JOBS, default one job per hardware thread) is exposed as
+// make_runner(); see bench/env.h for all environment knobs.
 #pragma once
 
 #include <cstdio>
@@ -24,70 +26,12 @@
 #include "faults/fault_plan.h"
 #include "mem/topology.h"
 #include "obs/manifest.h"
-#include "obs/trace.h"
+#include "obs/run_context.h"
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
 #include "workloads/be/be_suite.h"
 
 namespace mtat::bench {
-
-/// Process-lifetime hook: constructed before main() in every binary that
-/// includes this header, it installs the MTAT_FAULTS plan as the process
-/// default so every RunContext the binary creates (its own and the parallel
-/// runner's) carries a fault injector. A bad spec warns and runs clean — the
-/// fail-safe direction for a knob whose whole point is resilience testing.
-struct FaultsEnvHook {
-  FaultsEnvHook() {
-    const std::string& spec = Env::get().faults;
-    if (spec.empty()) return;
-    if (const auto plan = faults::FaultPlan::from_spec(spec)) {
-      faults::set_default_plan(*plan);
-      std::fprintf(stderr, "MTAT_FAULTS: injecting plan %s (seed %llu)\n", spec.c_str(),
-                   (unsigned long long)plan->seed);
-    } else {
-      std::fprintf(stderr,
-                   "warning: invalid MTAT_FAULTS=%s (expected storm or storm:X with X in "
-                   "[0,1]); running without fault injection\n",
-                   spec.c_str());
-    }
-  }
-};
-
-// Ownership: zero-size tag object whose constructor runs once before
-// main(); never touched again.
-inline FaultsEnvHook g_faults_env_hook;  // mtat-lint: allow(shared-mutable)
-
-/// Process-lifetime hook: constructed before main() in every binary that
-/// includes this header, it enables tracing when MTAT_TRACE names an output
-/// path and writes the file when the process exits normally.
-struct TraceEnvHook {
-  std::string path;
-
-  TraceEnvHook() {
-    const Env& env = Env::get();
-    if (env.trace_path.empty()) return;
-    path = env.trace_path;
-    obs::trace().enable(env.trace_events);
-  }
-
-  ~TraceEnvHook() {
-    if (path.empty()) return;
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "MTAT_TRACE: cannot open %s\n", path.c_str());
-      return;
-    }
-    obs::trace().write_chrome_json(out);
-    out << '\n';
-    std::fprintf(stderr, "MTAT_TRACE: wrote %zu events to %s (%llu dropped)\n",
-                 obs::trace().size(), path.c_str(),
-                 (unsigned long long)obs::trace().dropped());
-  }
-};
-
-// Ownership: constructed once before main() (enables tracing), destroyed
-// once after main() (writes the file); never touched in between.
-inline TraceEnvHook g_trace_env_hook;  // mtat-lint: allow(shared-mutable)
 
 struct Scale {
   Bytes fmem;
@@ -198,28 +142,23 @@ inline bool is_mtat(PolicyKind k) {
 /// from the BE fleet), not the standalone calibration target. Measured by
 /// bisection; one measurement per (LC workload, BE setting).
 inline double fmem_all_peak_krps(const Scale& sc, const LCConfig& lc,
-                                 experiments::ParallelRunner* runner = nullptr, int n_be = 4,
-                                 int be_cores = 4, double max_violation_rate = 0.002) {
+                                 experiments::ParallelRunner& runner, obs::RunContext& parent,
+                                 int n_be = 4, int be_cores = 4,
+                                 double max_violation_rate = 0.002) {
   // The strict violation criterion keeps the measured peak off the knee's
   // edge: at 1 % the bisection can land where P99 is already drifting, and a
   // trapezoid driven exactly there rides the knee for its whole plateau.
-  // The probe is pure — a fresh sim per load, no shared agent — so with a
-  // runner the bisection's probes fan out (same result as serial: the
-  // speculative probe set is jobs-invariant, see experiments::find_max_load).
+  // The probe is pure — a fresh sim per load, no shared agent — so the
+  // bisection's probes fan out (same result as serial: the speculative probe
+  // set is jobs-invariant, see experiments::find_max_load).
   const auto probe = [&](double krps, obs::RunContext& ctx) {
     SimConfig cfg = make_sim_config(sc, lc, PolicyKind::kFmemAll, n_be, be_cores);
     ColocationSim sim(cfg, &ctx);
     return experiments::probe_slo_sustainable(sim, krps, seconds(15), seconds(20),
                                               max_violation_rate);
   };
-  const double lo = 0.3 * lc.max_load_krps, hi = 1.2 * lc.max_load_krps;
-  if (runner != nullptr) return experiments::find_max_load(probe, lo, hi, 5, *runner);
-  return experiments::find_max_load(
-      [&](double krps) {
-        obs::RunContext ctx;
-        return probe(krps, ctx);
-      },
-      lo, hi, 5);
+  return experiments::find_max_load(probe, 0.3 * lc.max_load_krps, 1.2 * lc.max_load_krps, 5,
+                                    runner, parent);
 }
 
 /// Train an MTAT sim's agent on `epochs` repetitions of the Figure-7 pattern
@@ -237,7 +176,48 @@ inline std::vector<PolicyKind> all_policies() {
           PolicyKind::kTpp,      PolicyKind::kFmemAll,    PolicyKind::kSmemAll};
 }
 
-inline void banner(const char* experiment, const char* paper_ref) {
+/// A bench binary's root run context (see the header comment): built once,
+/// by banner(), from bench::Env. A malformed MTAT_FAULTS spec warns and runs
+/// clean — the fail-safe direction for a knob whose whole point is
+/// resilience testing.
+class RootContext : public obs::RunContext {
+ public:
+  RootContext() {
+    const Env& env = Env::get();
+    if (!env.faults.empty()) {
+      if (const auto plan = faults::FaultPlan::from_spec(env.faults)) {
+        install_faults(*plan);
+        std::fprintf(stderr, "MTAT_FAULTS: injecting plan %s (seed %llu)\n", env.faults.c_str(),
+                     (unsigned long long)plan->seed);
+      } else {
+        std::fprintf(stderr,
+                     "warning: invalid MTAT_FAULTS=%s (expected storm or storm:X with X in "
+                     "[0,1]); running without fault injection\n",
+                     env.faults.c_str());
+      }
+    }
+    if (!env.trace_path.empty()) trace().enable(env.trace_events);
+  }
+
+  /// Writes the MTAT_TRACE file, if one was asked for.
+  ~RootContext() {
+    const std::string& path = Env::get().trace_path;
+    if (path.empty()) return;
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "MTAT_TRACE: cannot open %s\n", path.c_str());
+      return;
+    }
+    trace().write_chrome_json(out);
+    out << '\n';
+    std::fprintf(stderr, "MTAT_TRACE: wrote %zu events to %s (%llu dropped)\n", trace().size(),
+                 path.c_str(), (unsigned long long)trace().dropped());
+  }
+};
+
+/// Print the experiment header, write the manifest sidecar, and return the
+/// binary's root context; keep it alive until the end of main().
+[[nodiscard]] inline RootContext banner(const char* experiment, const char* paper_ref) {
   const std::string preset = scale_preset_from_env();
   std::printf("================================================================\n");
   std::printf("%s  —  reproduces %s\n", experiment, paper_ref);
@@ -251,6 +231,7 @@ inline void banner(const char* experiment, const char* paper_ref) {
   m.train_epochs = scale_from_env().train_epochs;
   m.add("paper_ref", paper_ref);
   m.write_file(std::string(experiment) + ".manifest.json");
+  return RootContext();
 }
 
 }  // namespace mtat::bench

@@ -37,7 +37,8 @@ struct Point {
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("perf_cluster", "microbench: cluster sim-steps/s and shard fan-out scaling");
+  RootContext root =
+      banner("perf_cluster", "microbench: cluster sim-steps/s and shard fan-out scaling");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
   // Static capacity estimate only — a perf bench has no use for the
@@ -58,7 +59,7 @@ int main() {
     cluster::ClusterConfig cc = base;
     cc.nodes = n;
     cc.tenants = 4 * n;
-    cluster::ClusterSim sim(cc);
+    cluster::ClusterSim sim(cc, &root);
     const auto t0 = std::chrono::steady_clock::now();
     const cluster::ClusterResult r = sim.run(*policy, &runner);
     const auto t1 = std::chrono::steady_clock::now();

@@ -226,7 +226,7 @@ double bench_sac_inference(const PerfSizes& s) {
 
 /// End-to-end simulator throughput: ticks/s of a co-located MEMTIS run (the
 /// histogram-centric policy — every sample hits the PageHotness hot path).
-double bench_sim_steps(const PerfSizes& s) {
+double bench_sim_steps(const PerfSizes& s, obs::RunContext& ctx) {
   SimConfig cfg;
   cfg.fmem = 32_MiB;
   cfg.smem = 512_MiB;
@@ -236,7 +236,7 @@ double bench_sim_steps(const PerfSizes& s) {
   cfg.policy = PolicyKind::kMemtis;
   cfg.bandwidth.enabled = true;
   cfg.seed = 20240806;
-  ColocationSim sim(cfg);
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.5);
   const std::uint64_t steps = s.sim_len / cfg.tick;
   return rate(steps, s.sim_reps, false, [&] { sim.run(pat, s.sim_len); });
@@ -246,7 +246,7 @@ double bench_sim_steps(const PerfSizes& s) {
 
 int main() {
   const std::string preset = scale_preset_from_env();
-  banner("perf_core", "microbench: single-node hot-path ops/s trajectory");
+  RootContext root = banner("perf_core", "microbench: single-node hot-path ops/s trajectory");
   const PerfSizes s = sizes_for(preset);
 
   PerfEntry entry;
@@ -262,7 +262,7 @@ int main() {
   run_one(obs::names::kPerfSamplerIngestPerSec, bench_sampler_ingest(s));
   run_one(obs::names::kPerfMigrationsPerSec, bench_migrations(s));
   run_one(obs::names::kPerfSacInferencePerSec, bench_sac_inference(s));
-  run_one(obs::names::kPerfSimStepsPerSec, bench_sim_steps(s));
+  run_one(obs::names::kPerfSimStepsPerSec, bench_sim_steps(s, root));
 
   return append_perf_trajectory("BENCH_core.json", "perf_core", std::move(entry)) ? 0 : 1;
 }

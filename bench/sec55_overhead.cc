@@ -13,10 +13,10 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("sec55_overhead", "Section 5.5");
+  RootContext root = banner("sec55_overhead", "Section 5.5");
   experiments::ParallelRunner runner = make_runner();
   const LCConfig redis = scaled_lc_config(redis_config(), sc);
-  const double peak = fmem_all_peak_krps(sc, redis, &runner);
+  const double peak = fmem_all_peak_krps(sc, redis, runner, root);
   SimConfig cfg = make_sim_config(sc, redis, PolicyKind::kMtatFull);
 
   // The overhead numbers come from one sim, so only the peak bisection above
@@ -28,7 +28,8 @@ int main() {
                      const LoadPattern pattern = LoadPattern::figure7(peak * 1000.0);
                      sim.run(pattern, pattern.total_length());
                      r = sim.result();
-                   }}});
+                   }}},
+                 root);
 
   // Our partitioning interval is time-compressed x60 (DESIGN.md §5): one
   // decision per simulated second stands for one per real minute, so the

@@ -13,7 +13,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("table1_lc_characteristics", "Table 1");
+  RootContext root = banner("table1_lc_characteristics", "Table 1");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter csv("table1_lc_characteristics.csv",
                 {"workload", "rss_gib", "slo_ms", "configured_max_krps", "measured_max_krps"});
@@ -30,7 +30,7 @@ int main() {
       return curve[0].p99_ms <= static_cast<double>(lc.slo) / 1e6;
     };
     const double measured = experiments::find_max_load(
-        sustainable, 0.3 * lc.max_load_krps, 1.6 * lc.max_load_krps, 6, runner);
+        sustainable, 0.3 * lc.max_load_krps, 1.6 * lc.max_load_krps, 6, runner, root);
     // RSS: rebuild once to read the true footprint.
     TieredMemory::Config mc =
         TieredMemory::Config::two_tier(1, bytes_to_pages(sc.smem) + bytes_to_pages(sc.fmem));

@@ -9,7 +9,7 @@ using namespace mtat::bench;
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("table2_be_characteristics", "Table 2");
+  RootContext root = banner("table2_be_characteristics", "Table 2");
   CsvWriter csv("table2_be_characteristics.csv",
                 {"workload", "rss_gib", "acc_per_iter", "mlp", "hot10pct_mass",
                  "np_at_zero_fmem"});

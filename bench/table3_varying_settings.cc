@@ -40,7 +40,7 @@ LevelMetrics measure_at_level(const Scale& sc, const LCConfig& lc, PolicyKind po
 
 int main() {
   const Scale sc = scale_from_env();
-  banner("table3_varying_settings", "Table 3");
+  RootContext root = banner("table3_varying_settings", "Table 3");
   experiments::ParallelRunner runner = make_runner();
   CsvWriter csv("table3_varying_settings.csv",
                 {"setting", "variant", "lc_max_norm", "fair20", "tput20", "fair50", "tput50",
@@ -58,14 +58,17 @@ int main() {
 
     // Serial bisection for a shared-agent variant: every probe advances the
     // agent, so probe order matters (the impure case the parallel
-    // find_max_load overload documents); each probe sim still gets a private
-    // observability context so the variant specs below can run concurrently.
-    const auto max_for_serial = [&](PolicyKind policy, SacAgent* agent) {
+    // find_max_load overload documents); each probe sim still gets an
+    // observability context of its own (carrying the spec's fault plan; its
+    // trace is not kept) so the variant specs below can run concurrently.
+    const auto max_for_serial = [&](PolicyKind policy, SacAgent* agent,
+                                    const obs::RunContext& parent) {
       return experiments::find_max_load(
           [&](double krps) {
             SimConfig cfg = make_sim_config(sc, lc, policy, st.n_be, be_cores);
             cfg.shared_agent = agent;
-            obs::RunContext ctx(obs::RunContext::TraceMode::kPrivate);
+            obs::RunContext ctx;
+            ctx.inherit_faults(parent);
             ColocationSim sim(cfg, &ctx);
             return experiments::probe_slo_sustainable(sim, krps, seconds(25), seconds(20));
           },
@@ -79,7 +82,7 @@ int main() {
           ColocationSim sim(cfg, &ctx);
           return experiments::probe_slo_sustainable(sim, krps, seconds(25), seconds(20));
         },
-        0.2 * lc.max_load_krps, 1.3 * lc.max_load_krps, 5, runner);
+        0.2 * lc.max_load_krps, 1.3 * lc.max_load_krps, 5, runner, root);
 
     // MEMTIS metrics at each level (normalization base for BE columns) —
     // independent runs, one spec each.
@@ -94,7 +97,7 @@ int main() {
                                                         st.n_be, be_cores,
                                                         levels[i] * base_max, nullptr, ctx);
                          }});
-      runner.run_all(specs);
+      runner.run_all(specs, root);
     }
 
     // The two MTAT variants are independent of each other (own agent, own
@@ -119,15 +122,16 @@ int main() {
                              ColocationSim trainer(cfg, &ctx);
                              train_if_mtat(trainer, sc.train_epochs, base_max);
                            }
-                           rows[v].lc_max = max_for_serial(variant, &agent) / base_max;
+                           rows[v].lc_max = max_for_serial(variant, &agent, ctx) / base_max;
                            for (int i = 0; i < 3; ++i) {
-                             obs::RunContext level_ctx(obs::RunContext::TraceMode::kPrivate);
+                             obs::RunContext level_ctx;
+                             level_ctx.inherit_faults(ctx);
                              rows[v].m[i] =
                                  measure_at_level(sc, lc, variant, st.n_be, be_cores,
                                                   levels[i] * base_max, &agent, level_ctx);
                            }
                          }});
-      runner.run_all(specs);
+      runner.run_all(specs, root);
     }
 
     for (int v = 0; v < 2; ++v) {

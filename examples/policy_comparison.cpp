@@ -28,7 +28,8 @@ int main() {
         PolicyKind::kTpp, PolicyKind::kFmemAll, PolicyKind::kSmemAll}) {
     SimConfig cfg = base;
     cfg.policy = policy;
-    ColocationSim sim(cfg);
+    obs::RunContext ctx;  // one context per run: its metrics stay its own
+    ColocationSim sim(cfg, &ctx);
     const LoadPattern load = LoadPattern::figure7(cfg.lc.max_load_krps * 1000.0);
     if (policy == PolicyKind::kMtatFull || policy == PolicyKind::kMtatLcOnly) {
       for (int e = 0; e < 3; ++e) sim.run(load, load.total_length(), false);

@@ -36,20 +36,23 @@ int main() {
   //    simulated-annealing fairness split of the rest.
   cfg.policy = PolicyKind::kMtatFull;
 
-  ColocationSim sim(cfg);
+  // 5. The run's observability context: the metrics registry and trace
+  //    recorder the sim and its components record into.
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   std::printf("platform: FMem %llu pages, SMem %llu pages, LC RSS %llu pages\n",
               (unsigned long long)sim.mem().capacity(kFastestTier),
               (unsigned long long)sim.mem().capacity(kFastestTier + 1),
               (unsigned long long)sim.lc().space().num_pages());
 
-  // 5. Drive the Figure-7 load trapezoid: one pass to train the RL agent,
+  // 6. Drive the Figure-7 load trapezoid: one pass to train the RL agent,
   //    one measured pass.
   const LoadPattern load = LoadPattern::figure7(cfg.lc.max_load_krps * 1000.0);
   for (int epoch = 0; epoch < 3; ++epoch) sim.run(load, load.total_length(), false);
   sim.reset_stats();
   sim.run(load, load.total_length());
 
-  // 6. Read the results.
+  // 7. Read the results.
   const SimResult r = sim.result();
   std::printf("\nLC  : P99 %.2f ms (SLO %.0f ms), violations %.2f%%, %llu requests\n",
               r.lc_p99_ms, static_cast<double>(cfg.lc.slo) / 1e6,

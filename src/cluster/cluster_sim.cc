@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -70,16 +71,11 @@ struct ClusterSim::TenantFailover {
   std::size_t last_node = kUnplaced;  ///< previous epoch's placement
 };
 
-ClusterSim::ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx) : cfg_(cfg) {
+ClusterSim::ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx) : cfg_(cfg), ctx_(ctx) {
+  if (ctx_ == nullptr) throw std::invalid_argument("ClusterSim: null RunContext");
   if (cfg_.nodes <= 0) throw std::invalid_argument("ClusterSim: nodes must be positive");
   if (cfg_.tenants < 0) throw std::invalid_argument("ClusterSim: negative tenant count");
   if (cfg_.tenants == 0) cfg_.tenants = 4 * cfg_.nodes;
-  if (ctx == nullptr) {
-    owned_ctx_ = std::make_unique<obs::RunContext>();
-    ctx_ = owned_ctx_.get();
-  } else {
-    ctx_ = ctx;
-  }
 
   // Everything stochastic is drawn here, in a fixed order, from cfg.seed:
   // tenant demands and footprints (tenant order), per-node sim seeds (node
@@ -216,13 +212,13 @@ std::vector<NodeResult> ClusterSim::run_epoch(const std::vector<std::size_t>& as
   }
 
   if (runner != nullptr) {
-    runner->run_all(specs);
+    runner->run_all(specs, *ctx_);
   } else {
     // Serial reference path: a one-job runner executes every spec inline on
-    // this thread through the exact same private-context machinery, so the
+    // this thread through the exact same per-spec-context machinery, so the
     // serial and fanned paths cannot drift.
     experiments::ParallelRunner serial(1);
-    serial.run_all(specs);
+    serial.run_all(specs, *ctx_);
   }
 
   obs::MetricsRegistry& reg = ctx_->metrics();

@@ -4,7 +4,7 @@
 // of cfg.nodes simulated servers wraps its own complete ColocationSim — own
 // tiered memory, migration engine, telemetry, LC queue, BE fleet, and
 // per-node placement policy — executed as one experiments::ParallelRunner
-// spec with a pre-seeded private obs::RunContext, so shards run on however
+// spec with a pre-seeded obs::RunContext of its own, so shards run on however
 // many workers MTAT_JOBS grants yet merge deterministically (bit-identical
 // results for jobs=1 vs jobs=N, the PR 5/6 discipline).
 //
@@ -45,7 +45,6 @@
 // dumps — is a pure function of (config, policy).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -168,10 +167,13 @@ struct ClusterResult {
 class ClusterSim {
  public:
   /// `ctx` is the cluster-level observability context (fleet gauges under
-  /// `cluster.*`, round trace events); null makes the sim own one, exactly
-  /// as ColocationSim does. Tenants are generated here, from cfg.seed, so
-  /// several runs over the same ClusterSim see one tenant population.
-  explicit ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx = nullptr);
+  /// `cluster.*`, round trace events) and the parent of every node shard's
+  /// context: shards inherit its fault plan and trace settings, and their
+  /// rings merge back into its recorder. Required, exactly as for
+  /// ColocationSim: null throws std::invalid_argument. Tenants are generated
+  /// here, from cfg.seed, so several runs over the same ClusterSim see one
+  /// tenant population.
+  ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx);
 
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
@@ -208,7 +210,6 @@ class ClusterSim {
                                     const faults::ClusterFaultPlan* plan);
 
   ClusterConfig cfg_;
-  std::unique_ptr<obs::RunContext> owned_ctx_;
   obs::RunContext* ctx_;
   std::vector<TenantStream> tenants_;
   std::vector<std::uint64_t> node_seeds_;

@@ -97,21 +97,4 @@ std::optional<FaultPlan> FaultPlan::from_spec(const std::string& spec) {
   return std::nullopt;
 }
 
-namespace {
-// Storage for the process-global default plan (see header). Ownership:
-// written only by set_default_plan()/clear_default_plan() from the harness
-// before any sim runs, read-only afterwards — never mutated concurrently.
-FaultPlan g_default_plan;        // NOLINT(cert-err58-cpp)  mtat-lint: allow(shared-mutable)
-bool g_default_plan_set = false;  // mtat-lint: allow(shared-mutable)
-}  // namespace
-
-void set_default_plan(const FaultPlan& plan) {
-  g_default_plan = plan.normalized();
-  g_default_plan_set = true;
-}
-
-void clear_default_plan() { g_default_plan_set = false; }
-
-const FaultPlan* default_plan() { return g_default_plan_set ? &g_default_plan : nullptr; }
-
 }  // namespace mtat::faults

@@ -126,14 +126,4 @@ struct FaultPlan {
   static std::optional<FaultPlan> from_spec(const std::string& spec);
 };
 
-/// Process-global default plan, consumed by obs::RunContext's constructor so
-/// an environment knob (MTAT_FAULTS, parsed by bench::Env and installed by
-/// the bench harness hook) reaches every context in the process — the same
-/// pattern MTAT_TRACE uses. Set before any context is constructed (the bench
-/// hook runs during static initialization); not thread-safe against
-/// concurrent context construction by design.
-void set_default_plan(const FaultPlan& plan);
-void clear_default_plan();
-const FaultPlan* default_plan();
-
 }  // namespace mtat::faults

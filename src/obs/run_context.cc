@@ -4,16 +4,7 @@
 
 namespace mtat::obs {
 
-RunContext::RunContext(TraceMode mode) {
-  if (mode == TraceMode::kPrivate) {
-    owned_trace_ = std::make_unique<TraceRecorder>();
-    trace_ = owned_trace_.get();
-  } else {
-    // Qualified: the unqualified name would find the trace() member.
-    trace_ = &obs::trace();
-  }
-  if (const faults::FaultPlan* plan = faults::default_plan()) install_faults(*plan);
-}
+RunContext::RunContext() = default;
 
 RunContext::~RunContext() = default;
 
@@ -21,6 +12,8 @@ void RunContext::install_faults(const faults::FaultPlan& plan) {
   faults_ = std::make_unique<faults::FaultInjector>(plan);
 }
 
-TraceRecorder& default_trace() { return trace(); }
+void RunContext::inherit_faults(const RunContext& parent) {
+  if (parent.faults_ != nullptr) install_faults(parent.faults_->plan());
+}
 
 }  // namespace mtat::obs

@@ -1,28 +1,20 @@
-// Per-run observability state: one MetricsRegistry plus one TraceRecorder.
+// Per-run observability state: one MetricsRegistry, one TraceRecorder and an
+// optional fault injector.
 //
 // A RunContext is the unit of observability isolation. Every ColocationSim
-// owns or borrows exactly one, and every component that records metrics or
-// trace events (MigrationEngine, QueueSim, SacAgent, PP-M, PP-E) is wired to
-// it explicitly via set_run_context() — there is no process-global recorder
-// in any simulation code path, which is what makes independent sims safe to
-// run on concurrent threads (experiments::ParallelRunner).
+// and ClusterSim records into the context its caller passes in, and every
+// component that records metrics or trace events (MigrationEngine, QueueSim,
+// SacAgent, PP-M, PP-E) is wired to it explicitly via set_run_context().
+// There is no process-global recorder or fault plan: each context owns its
+// recorder, which is what makes independent sims safe to run on concurrent
+// threads (experiments::ParallelRunner).
 //
-// Two trace modes:
-//  * kGlobal (default): the context records trace events into the process-
-//    wide recorder behind obs::trace(). This is the single-run mode used by
-//    tools/mtat_sim and any bench binary running serially — the MTAT_TRACE
-//    environment hook enables that recorder once and every sim in the
-//    process shares its timeline (distinct tracks per sim).
-//  * kPrivate: the context owns its own TraceRecorder. Parallel experiment
-//    points each get a private-trace context so their clocks and tracks
-//    cannot race; the runner merges the private rings into the global
-//    recorder in deterministic spec order afterwards (distinct track ids —
-//    see TraceRecorder::merge_from).
-//
-// This header is the one sanctioned construction site for contexts over the
-// global recorder: code under src/sim, src/core, src/mem, src/rl and
-// src/loadgen must not name the global accessor directly (enforced by a
-// grep gate in tools/check.sh).
+// Entry points build the root context explicitly: tools/mtat_sim from its
+// flags, bench binaries in bench::banner() from MTAT_TRACE/MTAT_FAULTS, tests
+// and examples as locals. Nested runs derive from a parent —
+// ParallelRunner::run_all gives every spec a fresh context carrying the
+// parent's fault plan and trace settings, then merges the spec rings back
+// into the parent's recorder in spec order (TraceRecorder::merge_from).
 #pragma once
 
 #include <memory>
@@ -39,16 +31,15 @@ namespace mtat::obs {
 
 class RunContext {
  public:
-  enum class TraceMode {
-    kGlobal,   ///< record into the process-wide recorder (single-run tools)
-    kPrivate,  ///< own a recorder (parallel experiment points)
-  };
+  /// Kept so existing `RunContext(RunContext::TraceMode::kPrivate)` call
+  /// sites still compile; every context owns its recorder, so the one value
+  /// means the same as the default constructor.
+  enum class TraceMode { kPrivate };
 
-  /// Default: metrics registry of its own, trace events into the global
-  /// recorder. kPrivate instead owns a default-disabled TraceRecorder —
-  /// enable it (ParallelRunner mirrors the global recorder's state) to
-  /// actually collect events.
-  explicit RunContext(TraceMode mode = TraceMode::kGlobal);
+  /// A fresh metrics registry, a default-disabled TraceRecorder (enable it
+  /// to collect events) and no fault injector.
+  RunContext();
+  explicit RunContext(TraceMode /*mode*/) : RunContext() {}
   ~RunContext();  // out of line: FaultInjector is incomplete here
 
   RunContext(const RunContext&) = delete;
@@ -57,17 +48,17 @@ class RunContext {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  TraceRecorder& trace() { return *trace_; }
-  const TraceRecorder& trace() const { return *trace_; }
+  TraceRecorder& trace() { return trace_; }
+  const TraceRecorder& trace() const { return trace_; }
 
-  bool owns_trace() const { return owned_trace_ != nullptr; }
-
-  /// Attach a fault injector executing `plan` to this context. Components
-  /// wired to the context pick it up in their set_run_context(); call before
-  /// constructing the sim. The constructor installs faults::default_plan()
-  /// automatically when one is set (the MTAT_FAULTS path), so explicit
-  /// installs are only needed for per-point plans (bench sweeps, tests).
+  /// Attach a fault injector executing `plan` to this context, replacing any
+  /// earlier one. Components wired to the context pick it up in their
+  /// set_run_context(); call before constructing the sim.
   void install_faults(const faults::FaultPlan& plan);
+
+  /// Install `parent`'s fault plan, if it has one, on this fresh context:
+  /// a new injector on the same plan, so its draws start from the plan seed.
+  void inherit_faults(const RunContext& parent);
 
   /// The attached injector, or nullptr — the common case, and the fast path
   /// every fault site checks first. Non-null also signals the degradation
@@ -76,14 +67,8 @@ class RunContext {
 
  private:
   MetricsRegistry metrics_;
-  std::unique_ptr<TraceRecorder> owned_trace_;  // kPrivate only
-  TraceRecorder* trace_;                        // owned or the global recorder
+  TraceRecorder trace_;
   std::unique_ptr<faults::FaultInjector> faults_;
 };
-
-/// The process-wide recorder (the one obs::trace() returns), exposed so the
-/// experiment runner can mirror its enabled state into private contexts and
-/// merge their rings back without naming the global accessor inside src/sim.
-TraceRecorder& default_trace();
 
 }  // namespace mtat::obs

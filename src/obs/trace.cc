@@ -6,15 +6,6 @@
 
 namespace mtat::obs {
 
-TraceRecorder& trace() {
-  // Ownership: THE process-global recorder — the single sanctioned piece of
-  // ambient trace state (see the threading contract in trace.h). Everything
-  // else threads a RunContext/TraceRecorder& through; the context-escape
-  // lint rule polices new callers of this accessor.
-  static TraceRecorder instance;  // mtat-lint: allow(shared-mutable)
-  return instance;
-}
-
 void TraceRecorder::enable(std::size_t capacity) {
   if (capacity == 0) capacity = 1;
   if (capacity != capacity_) {

@@ -12,8 +12,8 @@
 // run keeps its most recent window and reports how many events were dropped.
 //
 // Timestamps are *simulated* time. The simulation owns a nanosecond clock and
-// publishes it via set_now() each tick, so components can stamp events
-// without threading a clock through every call. Wall-clock costs (PP-M
+// publishes it via set_now() each tick, so components holding the recorder
+// can stamp events without threading a clock through every call. Wall-clock costs (PP-M
 // decide, SAC updates) are recorded as spans *placed* at the sim time they
 // occurred whose *duration* is the measured wall time — the trace timeline
 // stays in sim time while span widths show real compute cost (documented in
@@ -86,9 +86,9 @@ class TraceRecorder {
   /// Append `src`'s surviving events (oldest first) with their track ids
   /// shifted by `track_offset`, and advance this recorder's track allocator
   /// past the remapped range. Control operation: both recorders must be
-  /// quiescent. Used by experiments::ParallelRunner to fold per-context
-  /// private rings back into the shared timeline in deterministic spec
-  /// order. No-op when this recorder has never been enabled (no ring).
+  /// quiescent. Used by experiments::ParallelRunner to fold per-spec rings
+  /// back into the parent context's timeline in deterministic spec order.
+  /// No-op when this recorder has never been enabled (no ring).
   void merge_from(const TraceRecorder& src, std::uint32_t track_offset);
 
   /// Point event at the current sim time.
@@ -150,19 +150,12 @@ class TraceRecorder {
   std::uint32_t next_track_ = 1;
 };
 
-/// The process-wide recorder. Components record into this instance so traces
-/// need no plumbing: the simulation publishes its clock and track, bench
-/// binaries enable it from the MTAT_TRACE environment hook, tools/mtat_sim
-/// from --trace-out. Default-disabled; nothing allocates until enable().
-TraceRecorder& trace();
-
 /// RAII wall-clock span: measures the wall time between construction and
 /// destruction, records it into optional always-on metrics (a Counter sum of
 /// microseconds and/or a Histogram of microsecond samples), and — when a
 /// recorder is supplied and enabled — emits a complete event placed at the
 /// recorder's current sim time with the wall duration (see the header
-/// comment on timestamp domains). A null recorder means metrics only: the
-/// span never touches any global state, so it is safe on any thread.
+/// comment on timestamp domains). A null recorder means metrics only.
 class WallSpan {
  public:
   WallSpan(TraceRecorder* trace, const char* name, const char* cat,

@@ -22,15 +22,9 @@ const char* policy_name(PolicyKind k) {
   return "?";
 }
 
-ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : cfg_(cfg) {
-  // Run without an explicit context? The sim owns one recording into the
-  // process-global trace — the classic single-run behaviour.
-  if (run_ctx == nullptr) {
-    owned_ctx_ = std::make_unique<obs::RunContext>();
-    ctx_ = owned_ctx_.get();
-  } else {
-    ctx_ = run_ctx;
-  }
+ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx)
+    : cfg_(cfg), ctx_(run_ctx) {
+  if (ctx_ == nullptr) throw std::invalid_argument("ColocationSim: null RunContext");
   obs::MetricsRegistry& reg = ctx_->metrics();
 
   // --- Platform ---------------------------------------------------------------

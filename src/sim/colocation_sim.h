@@ -176,14 +176,12 @@ struct SimCheckpoint {
 
 class ColocationSim {
  public:
-  /// `ctx` is the run's observability context (metrics registry + trace
-  /// recorder). Null (the default) makes the sim own a fresh context that
-  /// traces into the process-global recorder — the single-run behaviour
-  /// every tool had before contexts existed. A non-null context must outlive
-  /// the sim; supply a private-trace context (obs::RunContext::TraceMode::
-  /// kPrivate) to run several sims on concurrent threads, as
-  /// experiments::ParallelRunner does.
-  explicit ColocationSim(const SimConfig& cfg, obs::RunContext* ctx = nullptr);
+  /// `ctx` is the run's observability context (metrics registry, trace
+  /// recorder, optional fault injector). It is required — a null pointer
+  /// throws std::invalid_argument — and must outlive the sim. Sims on
+  /// concurrent threads each need their own context, as
+  /// experiments::ParallelRunner provides.
+  ColocationSim(const SimConfig& cfg, obs::RunContext* ctx);
 
   ColocationSim(const ColocationSim&) = delete;
   ColocationSim& operator=(const ColocationSim&) = delete;
@@ -209,11 +207,11 @@ class ColocationSim {
   /// measurement bookkeeping and metrics registry (minus wall-time metrics).
   /// The replayed ops re-enter the new sim's journal, so a restored sim's own
   /// snapshot() equals the original's. `ctx` follows the constructor's
-  /// contract; a checkpoint whose config names a shared_agent replays its
-  /// learning into that same agent, so restoring it is only deterministic
-  /// when the agent is private to this sim's history.
-  static std::unique_ptr<ColocationSim> restore(const SimCheckpoint& cp,
-                                                obs::RunContext* ctx = nullptr);
+  /// contract (required, outlives the sim); a checkpoint whose config names
+  /// a shared_agent replays its learning into that same agent, so restoring
+  /// it is only deterministic when the agent is private to this sim's
+  /// history.
+  static std::unique_ptr<ColocationSim> restore(const SimCheckpoint& cp, obs::RunContext* ctx);
 
   /// Structural state digest for checkpoint verification: the sim clock,
   /// per-tier occupancy, per-workload per-tier page counts, and every
@@ -238,7 +236,7 @@ class ColocationSim {
   obs::MetricsRegistry& metrics() { return ctx_->metrics(); }
   const obs::MetricsRegistry& metrics() const { return ctx_->metrics(); }
 
-  /// The observability context this sim records into (owned or borrowed).
+  /// The observability context this sim records into.
   obs::RunContext& run_context() { return *ctx_; }
 
  private:
@@ -247,11 +245,8 @@ class ColocationSim {
   void update_derived_gauges();
 
   SimConfig cfg_;
-  // Declared before the components so an owned context is destroyed after
-  // them: engine, queue, and policy cache pointers into its registry and
-  // trace recorder. A borrowed context must outlive the sim (caller's
-  // contract, see the constructor).
-  std::unique_ptr<obs::RunContext> owned_ctx_;
+  // Borrowed: engine, queue, and policy cache pointers into its registry and
+  // trace recorder, so it must outlive the sim (see the constructor).
   obs::RunContext* ctx_;
   std::unique_ptr<TieredMemory> mem_;
   std::unique_ptr<MigrationEngine> engine_;

@@ -47,7 +47,7 @@ ParallelRunner::ParallelRunner(int jobs) : jobs_(jobs) {
   if (jobs_ <= 0) jobs_ = std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ParallelRunner::run_all(const std::vector<RunSpec>& specs) {
+void ParallelRunner::run_all(const std::vector<RunSpec>& specs, obs::RunContext& parent) {
   if (specs.empty()) return;
 
   if (g_run_all_active.exchange(true, std::memory_order_acq_rel))
@@ -59,18 +59,16 @@ void ParallelRunner::run_all(const std::vector<RunSpec>& specs) {
     ~Release() { flag->store(false, std::memory_order_release); }
   } release{&g_run_all_active};
 
-  // Contexts are created up front, in spec order, on the calling thread:
-  // private trace rings only exist (and only cost memory) when the global
-  // recorder is enabled, i.e. when someone asked for a trace file.
-  // Sanctioned context-escape: run_all IS the merge site — it creates the
-  // per-spec private contexts and folds them into the shared timeline below.
-  obs::TraceRecorder& shared = obs::default_trace();  // mtat-lint: allow(context-escape)
-  const bool tracing = shared.enabled();
+  // Contexts are created up front, in spec order, on the calling thread, as
+  // children of `parent`: its fault plan, and a trace ring only when the
+  // parent records (i.e. when someone asked for a trace file).
+  obs::TraceRecorder& shared = parent.trace();
   std::vector<std::unique_ptr<obs::RunContext>> ctxs;
   ctxs.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    ctxs.push_back(std::make_unique<obs::RunContext>(obs::RunContext::TraceMode::kPrivate));
-    if (tracing) ctxs.back()->trace().enable(shared.capacity());
+    ctxs.push_back(std::make_unique<obs::RunContext>());
+    ctxs.back()->inherit_faults(parent);
+    if (shared.enabled()) ctxs.back()->trace().enable(shared.capacity());
   }
 
   std::atomic<std::size_t> next{0};
@@ -104,7 +102,7 @@ void ParallelRunner::run_all(const std::vector<RunSpec>& specs) {
 
   if (std::exception_ptr e = error.take()) std::rethrow_exception(e);
 
-  // Fold the private rings into the shared timeline in spec order: merge
+  // Fold the spec rings into the parent's timeline in spec order: merge
   // order — and therefore the track ids each spec's events land on — depends
   // only on the spec list, never on which worker finished first.
   for (const auto& ctx : ctxs) shared.merge_from(ctx->trace(), shared.next_track());
@@ -175,7 +173,10 @@ std::vector<LatencyCurvePoint> lc_latency_curve(const LCConfig& lc, double fmem_
     for (std::size_t i = 0; i < plan.size(); ++i)
       specs.push_back({cfg.name + "@point" + std::to_string(i),
                        [&run_point, i](obs::RunContext&) { run_point(i); }});
-    runner->run_all(specs);
+    // The points run bare LC queues that record nothing and inject no
+    // faults, so an empty scratch context is parent enough.
+    obs::RunContext scratch;
+    runner->run_all(specs, scratch);
   }
   return out;
 }
@@ -213,7 +214,8 @@ double find_max_load(const std::function<bool(double)>& sustainable, double lo_k
 }
 
 double find_max_load(const std::function<bool(double, obs::RunContext&)>& sustainable,
-                     double lo_krps, double hi_krps, int iters, ParallelRunner& runner) {
+                     double lo_krps, double hi_krps, int iters, ParallelRunner& runner,
+                     obs::RunContext& parent) {
   check_bracket(lo_krps, hi_krps);
   // Mirrors the serial recurrence exactly, two levels at a time: each batch
   // evaluates the current midpoint plus *both* midpoints it could lead to
@@ -239,7 +241,7 @@ double find_max_load(const std::function<bool(double, obs::RunContext&)>& sustai
                          ok[i] = sustainable(x, ctx) ? 1 : 0;
                        }});
     }
-    runner.run_all(specs);
+    runner.run_all(specs, parent);
     for (std::size_t i = 0; i < todo.size(); ++i) known[todo[i]] = ok[i] != 0;
   };
 

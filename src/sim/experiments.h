@@ -2,8 +2,9 @@
 //
 // Public surface (namespace mtat::experiments):
 //  * RunSpec / ParallelRunner — a small thread pool executing independent
-//    experiment points, each with its own private-trace obs::RunContext, with
-//    results and traces folded back in deterministic spec order.
+//    experiment points, each with its own obs::RunContext derived from the
+//    caller's, with results and traces folded back in deterministic spec
+//    order.
 //  * lc_latency_curve — the Figure-1 P99-vs-load sweep, optionally fanned
 //    across a runner.
 //  * find_max_load — bisection for "maximum load satisfying a predicate",
@@ -39,11 +40,10 @@ struct LatencyCurvePoint {
   double achieved_krps = 0;
 };
 
-/// One independent unit of work for ParallelRunner. `fn` receives a
-/// private-trace obs::RunContext dedicated to this spec: build simulations
-/// with `ColocationSim(cfg, &ctx)` (never the default context — that borrows
-/// the process-global trace recorder, which concurrent sims would race on)
-/// and write results into storage no other spec touches.
+/// One independent unit of work for ParallelRunner. `fn` receives an
+/// obs::RunContext dedicated to this spec: build simulations with
+/// `ColocationSim(cfg, &ctx)` and write results into storage no other spec
+/// touches.
 struct RunSpec {
   std::string name;
   std::function<void(obs::RunContext&)> fn;
@@ -51,20 +51,22 @@ struct RunSpec {
 
 /// Executes independent experiment points on a small worker pool.
 ///
-/// run_all(specs) creates one obs::RunContext (TraceMode::kPrivate) per spec
-/// up front, runs every spec's fn exactly once across `jobs` workers, and —
-/// after all workers join — merges each spec's private trace ring into the
-/// process-global recorder *in spec order* with distinct track ids
-/// (TraceRecorder::merge_from), so MTAT_TRACE output is reproducible and
-/// independent of scheduling. Private recorders are only enabled (and their
-/// rings only allocated) when the global recorder is already enabled.
+/// run_all(specs, parent) creates one obs::RunContext per spec up front, as
+/// a child of `parent`: it carries the parent's fault plan, and its recorder
+/// is enabled at the parent recorder's capacity when — and only when — the
+/// parent's is enabled (so rings cost memory only when someone asked for a
+/// trace). It runs every spec's fn exactly once across `jobs` workers and,
+/// after all workers join, merges each spec's trace ring into the parent's
+/// recorder *in spec order* with distinct track ids
+/// (TraceRecorder::merge_from), so trace output is reproducible and
+/// independent of scheduling. Spec metrics stay in the spec contexts.
 ///
 /// Exceptions thrown by a spec stop workers from claiming further specs; the
 /// first exception (in claim order) is rethrown from run_all after the pool
 /// joins, and no trace merging happens on the error path.
 ///
 /// run_all must be called from one thread at a time (bench main); it is not
-/// reentrant from inside a spec, because the final merge into the global
+/// reentrant from inside a spec, because the final merge into the parent's
 /// recorder is unsynchronized and a one-worker pool would deadlock on
 /// itself. Nesting is an explicit error, not undefined behaviour: a run_all
 /// that starts while another is active — through *any* runner instance —
@@ -79,7 +81,7 @@ class ParallelRunner {
 
   int jobs() const { return jobs_; }
 
-  void run_all(const std::vector<RunSpec>& specs);
+  void run_all(const std::vector<RunSpec>& specs, obs::RunContext& parent);
 
  private:
   int jobs_;
@@ -112,16 +114,18 @@ double find_max_load(const std::function<bool(double krps)>& sustainable, double
 
 /// Parallel bisection: same recurrence and same result as the serial form
 /// for any *pure* deterministic predicate, with probes batched through
-/// `runner`. Each batch speculatively evaluates both possible next midpoints
-/// alongside the current one (a depth-2 frontier), so two bisection levels
-/// resolve per batch and three to four probes run concurrently. The probe
+/// `runner` as children of `parent` (ParallelRunner::run_all). Each batch
+/// speculatively evaluates both possible next midpoints alongside the
+/// current one (a depth-2 frontier), so two bisection levels resolve per
+/// batch and three to four probes run concurrently. The probe
 /// set depends only on [lo, hi] and `iters`, never on the job count —
 /// jobs=1 and jobs=N evaluate the predicate at the exact same points.
 /// The predicate MUST be pure (no state shared across probes, e.g. no
 /// shared SacAgent): speculative probes that a serial bisection would never
 /// reach do run here. Impure predicates must use the serial overload.
 double find_max_load(const std::function<bool(double krps, obs::RunContext& ctx)>& sustainable,
-                     double lo_krps, double hi_krps, int iters, ParallelRunner& runner);
+                     double lo_krps, double hi_krps, int iters, ParallelRunner& runner,
+                     obs::RunContext& parent);
 
 /// Convenience: SLO-violation criterion the paper uses — run `sim` at
 /// constant `krps` for `duration` (after `warm` uncounted) and require the

@@ -144,16 +144,19 @@ TEST_P(CheckpointRestore, ContinuationIsBitIdenticalToUninterruptedRun) {
   const SimConfig cfg = tiny_config(GetParam());
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.5);
 
-  ColocationSim uninterrupted(cfg);
+  obs::RunContext uninterrupted_ctx;
+  ColocationSim uninterrupted(cfg, &uninterrupted_ctx);
   uninterrupted.run(pat, seconds(6), /*measure=*/false);
   uninterrupted.reset_stats();
   uninterrupted.run(pat, seconds(8));
 
-  ColocationSim original(cfg);
+  obs::RunContext original_ctx;
+  ColocationSim original(cfg, &original_ctx);
   original.run(pat, seconds(6), /*measure=*/false);
   original.reset_stats();
   const SimCheckpoint cp = original.snapshot();
-  const std::unique_ptr<ColocationSim> restored = ColocationSim::restore(cp);
+  obs::RunContext restored_ctx;
+  const std::unique_ptr<ColocationSim> restored = ColocationSim::restore(cp, &restored_ctx);
   // The restored instance must already match the snapshotted one...
   EXPECT_EQ(original.fingerprint(), restored->fingerprint());
   // ...and continuing it must match the uninterrupted reference bit for bit.
@@ -176,19 +179,22 @@ INSTANTIATE_TEST_SUITE_P(Policies, CheckpointRestore,
 TEST(CheckpointTest, RestoredSimsOwnSnapshotEqualsTheOriginal) {
   const SimConfig cfg = tiny_config(PolicyKind::kMemtis);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.4);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(pat, seconds(3), /*measure=*/false);
   sim.reset_stats();
   sim.run(pat, seconds(4));
   const SimCheckpoint cp = sim.snapshot();
-  const std::unique_ptr<ColocationSim> restored = ColocationSim::restore(cp);
+  obs::RunContext restored_ctx;
+  const std::unique_ptr<ColocationSim> restored = ColocationSim::restore(cp, &restored_ctx);
   expect_identical_checkpoints(cp, restored->snapshot());
 }
 
 TEST(CheckpointTest, JournalRecordsEveryOpAndReplayTimeSumsRuns) {
   const SimConfig cfg = tiny_config(PolicyKind::kMemtis);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.4);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   EXPECT_TRUE(sim.snapshot().ops.empty());  // construction is not journaled
   sim.run(pat, seconds(3), /*measure=*/false);
   sim.reset_stats();
@@ -210,12 +216,16 @@ TEST(CheckpointTest, WarmRestoreIsDistinguishableFromColdBoot) {
   const SimConfig cfg = tiny_config(PolicyKind::kMemtis);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.5);
 
-  ColocationSim warmed(cfg);
+  obs::RunContext warmed_ctx;
+  ColocationSim warmed(cfg, &warmed_ctx);
   warmed.run(pat, seconds(6), /*measure=*/false);
   warmed.reset_stats();
-  const std::unique_ptr<ColocationSim> warm = ColocationSim::restore(warmed.snapshot());
+  obs::RunContext warm_ctx;
+  const std::unique_ptr<ColocationSim> warm =
+      ColocationSim::restore(warmed.snapshot(), &warm_ctx);
 
-  ColocationSim cold(cfg);  // straight into traffic, no settle
+  obs::RunContext cold_ctx;
+  ColocationSim cold(cfg, &cold_ctx);  // straight into traffic, no settle
   EXPECT_NE(warm->fingerprint(), cold.fingerprint());
   warm->run(pat, seconds(8));
   cold.run(pat, seconds(8));

@@ -172,10 +172,12 @@ TEST(ClusterFaultSim, InertPlanIsByteIdenticalToNoPlan) {
   // extra RNG draws, no watchdog — the classic two-epoch run, byte for byte.
   const auto policy = make_telemetry_placement();
   ClusterConfig healthy = tiny_cluster();
-  ClusterSim a(healthy);
+  obs::RunContext a_ctx;
+  ClusterSim a(healthy, &a_ctx);
   ClusterConfig inert = tiny_cluster();
   inert.faults = ClusterFaultPlan{};  // present but !any()
-  ClusterSim b(inert);
+  obs::RunContext b_ctx;
+  ClusterSim b(inert, &b_ctx);
   const ClusterResult ra = a.run(*policy);
   const ClusterResult rb = b.run(*policy);
   EXPECT_EQ(fingerprint(ra), fingerprint(rb));
@@ -187,7 +189,8 @@ TEST(ClusterFaultSim, InertPlanIsByteIdenticalToNoPlan) {
 std::string faulted_fingerprint(const PlacementPolicy& policy, int jobs) {
   ClusterConfig cc = tiny_cluster();
   cc.faults = ClusterFaultPlan::storm(1.0);
-  ClusterSim sim(cc);
+  obs::RunContext ctx;
+  ClusterSim sim(cc, &ctx);
   if (jobs == 0) return fingerprint(sim.run(policy));  // serial reference path
   experiments::ParallelRunner runner(jobs);
   return fingerprint(sim.run(policy, &runner));
@@ -208,7 +211,8 @@ TEST(ClusterFaultSim, EveryEpochConservesTenantDemand) {
   // offered load is exactly the tenant population's total demand.
   ClusterConfig cc = tiny_cluster();
   cc.faults = ClusterFaultPlan::storm(1.0);
-  ClusterSim sim(cc);
+  obs::RunContext ctx;
+  ClusterSim sim(cc, &ctx);
   double total = 0;
   for (const TenantStream& t : sim.tenants()) total += t.demand_krps;
   const ClusterResult r = sim.run(*make_telemetry_placement());
@@ -254,7 +258,8 @@ TEST(ClusterFaultSim, CertainCrashTakesTheFleetDownAndBringsItBack) {
   plan.epochs = 4;
   plan.warm_restart = false;  // epoch-0 crashes have no checkpoint anyway
   cc.faults = plan;
-  ClusterSim sim(cc);
+  obs::RunContext ctx;
+  ClusterSim sim(cc, &ctx);
   const ClusterResult r = sim.run(*make_random_placement());
   EXPECT_EQ(r.node_crashes, cc.nodes);
   EXPECT_EQ(r.cold_restarts, cc.nodes);
@@ -285,7 +290,8 @@ TEST(ClusterFaultSim, WarmAndColdRestartsDivergeOnceCheckpointsExist) {
     plan.epochs = 5;
     plan.warm_restart = warm;
     cc.faults = plan;
-    ClusterSim sim(cc);
+    obs::RunContext ctx;
+    ClusterSim sim(cc, &ctx);
     return sim.run(*make_bin_packing_placement());
   };
   const ClusterResult warm = run_mode(true);

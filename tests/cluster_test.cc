@@ -148,16 +148,22 @@ ClusterConfig tiny_cluster(int nodes = 6) {
 
 TEST(ClusterSim, RejectsDegenerateConfigs) {
   ClusterConfig cc = tiny_cluster();
+  obs::RunContext ctx;
   cc.nodes = 0;
-  EXPECT_THROW(ClusterSim sim(cc), std::invalid_argument);
+  EXPECT_THROW(ClusterSim sim(cc, &ctx), std::invalid_argument);
   cc = tiny_cluster();
   cc.tenants = -1;
-  EXPECT_THROW(ClusterSim sim(cc), std::invalid_argument);
+  EXPECT_THROW(ClusterSim sim(cc, &ctx), std::invalid_argument);
+}
+
+TEST(ClusterSim, RejectsNullRunContext) {
+  EXPECT_THROW(ClusterSim sim(tiny_cluster(), nullptr), std::invalid_argument);
 }
 
 TEST(ClusterSim, TenantPopulationMatchesConfigAndSeed) {
   const ClusterConfig cc = tiny_cluster();
-  ClusterSim a(cc), b(cc);
+  obs::RunContext a_ctx, b_ctx;
+  ClusterSim a(cc, &a_ctx), b(cc, &b_ctx);
   ASSERT_EQ(a.tenants().size(), static_cast<std::size_t>(cc.tenants));
   double total = 0;
   for (std::size_t i = 0; i < a.tenants().size(); ++i) {
@@ -201,7 +207,8 @@ std::string fingerprint(const ClusterResult& r) {
 
 std::string run_fingerprint(const PlacementPolicy& policy, int jobs) {
   const ClusterConfig cc = tiny_cluster();
-  ClusterSim sim(cc);
+  obs::RunContext ctx;
+  ClusterSim sim(cc, &ctx);
   if (jobs == 0) return fingerprint(sim.run(policy));  // serial reference path
   experiments::ParallelRunner runner(jobs);
   return fingerprint(sim.run(policy, &runner));
@@ -265,7 +272,8 @@ TEST(ClusterSim, BinPackingNeverRebalancesWithoutTelemetryInItsScore) {
   // bin_packing ignores telemetry entirely, so its round-2 routing replays
   // round 1 exactly: zero moves, by construction not by accident.
   const ClusterConfig cc = tiny_cluster();
-  ClusterSim sim(cc);
+  obs::RunContext ctx;
+  ClusterSim sim(cc, &ctx);
   const ClusterResult r = sim.run(*make_bin_packing_placement());
   EXPECT_EQ(r.rebalanced_tenants, 0);
 }

@@ -140,8 +140,10 @@ class SameSeedRuns : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(SameSeedRuns, AreBitIdentical) {
   const SimConfig cfg = tiny_config(GetParam());
-  ColocationSim sim1(cfg);
-  ColocationSim sim2(cfg);
+  obs::RunContext sim1_ctx;
+  ColocationSim sim1(cfg, &sim1_ctx);
+  obs::RunContext sim2_ctx;
+  ColocationSim sim2(cfg, &sim2_ctx);
   obs::MetricsRegistry* reg1 = nullptr;
   obs::MetricsRegistry* reg2 = nullptr;
   const SimResult r1 = run_once(cfg, &reg1, sim1);
@@ -168,9 +170,11 @@ INSTANTIATE_TEST_SUITE_P(Policies, SameSeedRuns,
 // would pass trivially with the seed being ignored.
 TEST(SameSeedRuns, DifferentSeedDiverges) {
   SimConfig cfg = tiny_config(PolicyKind::kMtatFull);
-  ColocationSim sim1(cfg);
+  obs::RunContext sim1_ctx;
+  ColocationSim sim1(cfg, &sim1_ctx);
   cfg.seed = 999;
-  ColocationSim sim2(cfg);
+  obs::RunContext sim2_ctx;
+  ColocationSim sim2(cfg, &sim2_ctx);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.5);
   sim1.run(pat, seconds(8));
   sim2.run(pat, seconds(8));
@@ -202,7 +206,8 @@ TEST(JobCountInvariance, HotnessStateMatchesAcrossJobsOneAndFour) {
                        }});
     }
     experiments::ParallelRunner runner(jobs);
-    runner.run_all(specs);
+    obs::RunContext parent;
+    runner.run_all(specs, parent);
     return probes;
   };
   const std::vector<Probe> serial = run_fleet(1);

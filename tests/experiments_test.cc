@@ -65,10 +65,11 @@ TEST(FindMaxLoad, NonFiniteOrInvertedBracketThrows) {
   EXPECT_THROW(find_max_load(yes, 1.0, inf, 7), std::invalid_argument);
   EXPECT_THROW(find_max_load(yes, 8.0, 4.0, 7), std::invalid_argument);
   ParallelRunner runner(2);
+  obs::RunContext parent;
   const auto yes_ctx = [](double, obs::RunContext&) { return true; };
-  EXPECT_THROW(find_max_load(yes_ctx, nan, 16.0, 7, runner), std::invalid_argument);
-  EXPECT_THROW(find_max_load(yes_ctx, 1.0, inf, 7, runner), std::invalid_argument);
-  EXPECT_THROW(find_max_load(yes_ctx, 8.0, 4.0, 7, runner), std::invalid_argument);
+  EXPECT_THROW(find_max_load(yes_ctx, nan, 16.0, 7, runner, parent), std::invalid_argument);
+  EXPECT_THROW(find_max_load(yes_ctx, 1.0, inf, 7, runner, parent), std::invalid_argument);
+  EXPECT_THROW(find_max_load(yes_ctx, 8.0, 4.0, 7, runner, parent), std::invalid_argument);
 }
 
 TEST(FindMaxLoad, ZeroItersProbesLoOnly) {
@@ -103,8 +104,9 @@ TEST(FindMaxLoad, ParallelMatchesSerialBitForBitAtEveryJobCount) {
     const double serial = find_max_load(pure, 1.0, 16.0, iters);
     for (int jobs : {1, 4}) {
       ParallelRunner runner(jobs);
-      const double par = find_max_load(
-          [&](double k, obs::RunContext&) { return pure(k); }, 1.0, 16.0, iters, runner);
+      obs::RunContext parent;
+      const double par = find_max_load([&](double k, obs::RunContext&) { return pure(k); },
+                                       1.0, 16.0, iters, runner, parent);
       // Exact ==, not near: the contract is bit-identical doubles.
       EXPECT_EQ(serial, par) << "iters=" << iters << " jobs=" << jobs;
     }
@@ -116,13 +118,14 @@ TEST(FindMaxLoad, ParallelProbeSetIsJobsInvariant) {
     std::set<double> points;
     std::mutex mu;
     ParallelRunner runner(jobs);
+    obs::RunContext parent;
     find_max_load(
         [&](double k, obs::RunContext&) {
           std::lock_guard<std::mutex> lock(mu);
           points.insert(k);
           return k <= 11.5;
         },
-        1.0, 16.0, 6, runner);
+        1.0, 16.0, 6, runner, parent);
     return points;
   };
   // The speculative frontier depends only on [lo, hi] and iters — jobs=1 and
@@ -132,15 +135,17 @@ TEST(FindMaxLoad, ParallelProbeSetIsJobsInvariant) {
 
 TEST(FindMaxLoad, ParallelInfeasibleAtLoReturnsLo) {
   ParallelRunner runner(4);
+  obs::RunContext parent;
   const double r = find_max_load([](double, obs::RunContext&) { return false; }, 2.0,
-                                 16.0, 5, runner);
+                                 16.0, 5, runner, parent);
   EXPECT_DOUBLE_EQ(r, 2.0);
 }
 
 TEST(FindMaxLoad, ParallelDegenerateBracketLoEqualsHi) {
   ParallelRunner runner(4);
-  const double r =
-      find_max_load([](double, obs::RunContext&) { return true; }, 4.0, 4.0, 7, runner);
+  obs::RunContext parent;
+  const double r = find_max_load([](double, obs::RunContext&) { return true; }, 4.0, 4.0, 7,
+                                 runner, parent);
   EXPECT_DOUBLE_EQ(r, 4.0);
 }
 
@@ -154,6 +159,7 @@ TEST(ParallelRunner, JobsDefaultToHardwareConcurrencyFloorOne) {
 
 TEST(ParallelRunner, RunsEverySpecExactlyOnce) {
   ParallelRunner runner(4);
+  obs::RunContext parent;
   constexpr int kSpecs = 17;
   std::vector<int> hits(kSpecs, 0);  // disjoint slots, one writer each
   std::atomic<int> total{0};
@@ -163,24 +169,26 @@ TEST(ParallelRunner, RunsEverySpecExactlyOnce) {
                        ++hits[static_cast<std::size_t>(i)];
                        total.fetch_add(1);
                      }});
-  runner.run_all(specs);
+  runner.run_all(specs, parent);
   EXPECT_EQ(total.load(), kSpecs);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ParallelRunner, EmptySpecListIsANoOp) {
   ParallelRunner runner(4);
-  runner.run_all({});
+  obs::RunContext parent;
+  runner.run_all({}, parent);
 }
 
 TEST(ParallelRunner, SpecExceptionPropagatesToCaller) {
   for (int jobs : {1, 3}) {
     ParallelRunner runner(jobs);
+    obs::RunContext parent;
     std::vector<RunSpec> specs;
     specs.push_back({"ok", [](obs::RunContext&) {}});
     specs.push_back(
         {"boom", [](obs::RunContext&) { throw std::runtime_error("boom"); }});
-    EXPECT_THROW(runner.run_all(specs), std::runtime_error) << "jobs=" << jobs;
+    EXPECT_THROW(runner.run_all(specs, parent), std::runtime_error) << "jobs=" << jobs;
   }
 }
 
@@ -192,62 +200,101 @@ TEST(ParallelRunner, NestedRunAllThrowsLogicError) {
   for (int jobs : {1, 3}) {
     ParallelRunner outer(jobs);
     ParallelRunner inner(1);
+    obs::RunContext parent;
     std::atomic<int> inner_ran{0};
     std::vector<RunSpec> specs;
-    specs.push_back({"nests", [&inner, &inner_ran](obs::RunContext&) {
+    specs.push_back({"nests", [&inner, &inner_ran](obs::RunContext& ctx) {
                        std::vector<RunSpec> nested;
                        nested.push_back({"never", [&inner_ran](obs::RunContext&) {
                                            inner_ran.fetch_add(1);
                                          }});
-                       inner.run_all(nested);
+                       inner.run_all(nested, ctx);
                      }});
-    EXPECT_THROW(outer.run_all(specs), std::logic_error) << "jobs=" << jobs;
+    EXPECT_THROW(outer.run_all(specs, parent), std::logic_error) << "jobs=" << jobs;
     EXPECT_EQ(inner_ran.load(), 0) << "jobs=" << jobs;
     // The guard must release on the error path: a fresh top-level run_all
     // right after the failure works normally.
     std::atomic<int> ran{0};
     std::vector<RunSpec> ok;
     ok.push_back({"after", [&ran](obs::RunContext&) { ran.fetch_add(1); }});
-    outer.run_all(ok);
+    outer.run_all(ok, parent);
     EXPECT_EQ(ran.load(), 1) << "jobs=" << jobs;
   }
 }
 
 TEST(ParallelRunner, SpecsGetPrivateTraceContexts) {
+  // Every spec runs in a fresh context of its own — never the parent, never
+  // a sibling's — so its metrics stay its own: each spec sees an empty
+  // registry, and nothing a spec records reaches the parent's.
+  obs::RunContext parent;
+  parent.metrics().counter(obs::names::kSimIntervals).inc();
   ParallelRunner runner(2);
   std::vector<RunSpec> specs;
-  std::vector<int> owns(3, 0);
+  std::vector<int> is_parent(3, -1);
+  std::vector<double> seen(3, -1.0);
   for (int i = 0; i < 3; ++i)
-    specs.push_back({"ctx" + std::to_string(i), [&owns, i](obs::RunContext& ctx) {
-                       owns[static_cast<std::size_t>(i)] = ctx.owns_trace() ? 1 : 0;
+    specs.push_back({"ctx" + std::to_string(i), [&, i](obs::RunContext& ctx) {
+                       const auto slot = static_cast<std::size_t>(i);
+                       is_parent[slot] = &ctx == &parent ? 1 : 0;
+                       obs::Counter& c = ctx.metrics().counter(obs::names::kSimIntervals);
+                       seen[slot] = c.value();
+                       c.inc();
                      }});
-  runner.run_all(specs);
-  for (int o : owns) EXPECT_EQ(o, 1);
+  runner.run_all(specs, parent);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(is_parent[i], 0) << i;
+    EXPECT_EQ(seen[i], 0.0) << i;
+  }
+  EXPECT_EQ(parent.metrics().find_counter(obs::names::kSimIntervals)->value(), 1.0);
 }
 
-TEST(ParallelRunner, MergesPrivateTracesInSpecOrderWithDistinctTracks) {
-  obs::TraceRecorder& global = obs::default_trace();
-  global.enable(1024);
-  global.clear();
-  ParallelRunner runner(2);
+/// Runs three specs under a parent whose recorder is enabled at
+/// `trace_capacity` (0: untraced), each stamping one event at its own sim
+/// time; returns the parent's merged events and each spec's ring capacity.
+std::vector<obs::TraceEvent> merged_spec_events(int jobs, std::size_t trace_capacity,
+                                                std::vector<std::size_t>* capacities) {
+  obs::RunContext parent;
+  if (trace_capacity > 0) parent.trace().enable(trace_capacity);
+  ParallelRunner runner(jobs);
   std::vector<RunSpec> specs;
+  capacities->assign(3, 1);
   for (int i = 0; i < 3; ++i)
-    specs.push_back({"trace" + std::to_string(i), [i](obs::RunContext& ctx) {
+    specs.push_back({"trace" + std::to_string(i), [i, capacities](obs::RunContext& ctx) {
+                       (*capacities)[static_cast<std::size_t>(i)] = ctx.trace().capacity();
                        ctx.trace().set_now(SimTime{1000} * (i + 1));
                        ctx.trace().instant(obs::names::kEvInterval, obs::names::kCatSim);
                      }});
-  runner.run_all(specs);
-  const std::vector<obs::TraceEvent> events = global.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  std::set<std::uint32_t> tracks;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    // Merge happens in spec order: event i carries spec i's timestamp.
-    EXPECT_EQ(events[i].ts, SimTime{1000} * (static_cast<int>(i) + 1));
-    tracks.insert(events[i].track);
+  runner.run_all(specs, parent);
+  return parent.trace().snapshot();
+}
+
+TEST(ParallelRunner, MergesPrivateTracesInSpecOrderWithDistinctTracks) {
+  std::vector<obs::TraceEvent> reference;
+  for (int jobs : {1, 4}) {
+    std::vector<std::size_t> capacities;
+    const std::vector<obs::TraceEvent> events = merged_spec_events(jobs, 1024, &capacities);
+    // Each spec's ring was enabled at the parent's capacity.
+    for (std::size_t c : capacities) EXPECT_EQ(c, 1024u) << "jobs=" << jobs;
+    ASSERT_EQ(events.size(), 3u);
+    std::set<std::uint32_t> tracks;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      // Merge happens in spec order: event i carries spec i's timestamp.
+      EXPECT_EQ(events[i].ts, SimTime{1000} * (static_cast<int>(i) + 1)) << "jobs=" << jobs;
+      tracks.insert(events[i].track);
+    }
+    EXPECT_EQ(tracks.size(), 3u);  // one distinct track per merged context
+    if (reference.empty()) reference = events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].ts, reference[i].ts) << "jobs=" << jobs;
+      EXPECT_EQ(events[i].track, reference[i].track) << "jobs=" << jobs;
+    }
   }
-  EXPECT_EQ(tracks.size(), 3u);  // one distinct track per merged context
-  global.clear();
-  global.disable();
+}
+
+TEST(ParallelRunner, UntracedParentLeavesSpecRingsUnallocated) {
+  std::vector<std::size_t> capacities;
+  EXPECT_TRUE(merged_spec_events(2, 0, &capacities).empty());
+  for (std::size_t c : capacities) EXPECT_EQ(c, 0u);
 }
 
 // --------------------------------------- determinism across the job counts --
@@ -288,7 +335,8 @@ std::vector<std::string> sim_grid_fingerprints(int jobs) {
                        rows[i] = drop_wall_metrics(ss.str());
                      }});
   }
-  runner.run_all(specs);
+  obs::RunContext parent;
+  runner.run_all(specs, parent);
   return rows;
 }
 

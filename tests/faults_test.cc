@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/mtat_policy.h"
@@ -18,6 +19,7 @@
 #include "obs/run_context.h"
 #include "rl/sac.h"
 #include "sim/colocation_sim.h"
+#include "sim/experiments.h"
 #include "telemetry/access_sampler.h"
 #include "workloads/be/be_suite.h"
 
@@ -139,17 +141,79 @@ TEST(FaultPlanTest, InjectorExecutesTheNormalizedSchedule) {
   EXPECT_EQ(injector.plan().telemetry_blackouts[0].length, seconds(8));
 }
 
-TEST(FaultPlanTest, DefaultPlanReachesNewRunContexts) {
-  ASSERT_EQ(faults::default_plan(), nullptr);  // tests run without MTAT_FAULTS
-  faults::set_default_plan(FaultPlan::storm(0.25));
-  {
-    obs::RunContext ctx;
-    ASSERT_NE(ctx.faults(), nullptr);
-    EXPECT_DOUBLE_EQ(ctx.faults()->plan().burst_failure_prob, 0.25);
+TEST(FaultPlanTest, InheritedPlanStartsAFreshInjector) {
+  // A child context gets the parent's plan, not its injector: its draws
+  // start from the plan seed however far the parent's streams have run.
+  FaultPlan plan;
+  plan.sample_loss_prob = 0.5;
+  obs::RunContext parent;
+  parent.install_faults(plan);
+  for (int i = 0; i < 7; ++i) parent.faults()->drop_sample();
+  obs::RunContext child;
+  child.inherit_faults(parent);
+  ASSERT_NE(child.faults(), nullptr);
+  FaultInjector fresh(plan);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(child.faults()->drop_sample(), fresh.drop_sample()) << i;
+  // No plan, nothing inherited.
+  obs::RunContext clean_parent, clean_child;
+  clean_child.inherit_faults(clean_parent);
+  EXPECT_EQ(clean_child.faults(), nullptr);
+}
+
+/// What one run_all spec saw of its context, and the parent's merged trace.
+struct ChildView {
+  std::vector<double> burst_prob;  ///< per spec; -1 = no injector
+  std::vector<std::size_t> trace_capacity;
+  std::vector<obs::TraceEvent> merged;
+};
+
+ChildView run_children(int jobs, const obs::RunContext* plan_source) {
+  obs::RunContext parent;
+  parent.inherit_faults(*plan_source);
+  parent.trace().enable(256);
+  constexpr int kSpecs = 5;
+  ChildView v;
+  v.burst_prob.assign(kSpecs, -1.0);
+  v.trace_capacity.assign(kSpecs, 0);
+  std::vector<experiments::RunSpec> specs;
+  for (int i = 0; i < kSpecs; ++i)
+    specs.push_back({"child" + std::to_string(i), [&v, i](obs::RunContext& ctx) {
+                       const auto slot = static_cast<std::size_t>(i);
+                       if (ctx.faults() != nullptr)
+                         v.burst_prob[slot] = ctx.faults()->plan().burst_failure_prob;
+                       v.trace_capacity[slot] = ctx.trace().capacity();
+                       ctx.trace().set_now(SimTime{100} * (kSpecs - i));
+                       ctx.trace().instant(obs::names::kEvInterval, obs::names::kCatSim, "spec",
+                                           static_cast<double>(i));
+                     }});
+  experiments::ParallelRunner(jobs).run_all(specs, parent);
+  v.merged = parent.trace().snapshot();
+  return v;
+}
+
+TEST(FaultPlanTest, RunAllChildrenCarryTheParentPlanAndTraceCapacity) {
+  // The explicit replacement for ambient configuration: every spec context
+  // inherits the parent's fault plan and trace capacity, and the spec rings
+  // merge back into the parent in spec order — the same for 1 and 4 jobs.
+  obs::RunContext stormy;
+  stormy.install_faults(FaultPlan::storm(0.25));
+  obs::RunContext healthy;
+  for (const obs::RunContext* source : {&stormy, &healthy}) {
+    const double want = source == &stormy ? 0.25 : -1.0;
+    const ChildView one = run_children(1, source);
+    const ChildView four = run_children(4, source);
+    for (const ChildView* v : {&one, &four}) {
+      for (double p : v->burst_prob) EXPECT_DOUBLE_EQ(p, want);
+      for (std::size_t c : v->trace_capacity) EXPECT_EQ(c, 256u);
+      ASSERT_EQ(v->merged.size(), one.burst_prob.size());
+      for (std::size_t i = 0; i < v->merged.size(); ++i)
+        EXPECT_EQ(v->merged[i].arg1, static_cast<double>(i));  // spec order
+    }
+    for (std::size_t i = 0; i < one.merged.size(); ++i) {
+      EXPECT_EQ(one.merged[i].ts, four.merged[i].ts) << i;
+      EXPECT_EQ(one.merged[i].track, four.merged[i].track) << i;
+    }
   }
-  faults::clear_default_plan();
-  obs::RunContext clean;
-  EXPECT_EQ(clean.faults(), nullptr);
 }
 
 // ------------------------------------------------------------ FaultInjector --
@@ -418,7 +482,8 @@ TEST(FaultSimTest, EmptyPlanIsBehaviourIdenticalToNoPlan) {
   // The injector is attached but every query is a no-op: results must be
   // bit-identical to a run with no injector at all.
   const SimConfig cfg = tiny_config(PolicyKind::kMemtis);
-  const SimResult clean = run_sim(cfg, nullptr);
+  obs::RunContext clean_ctx;
+  const SimResult clean = run_sim(cfg, &clean_ctx);
   obs::RunContext ctx;
   ctx.install_faults(FaultPlan{});
   expect_identical(clean, run_sim(cfg, &ctx));
@@ -427,7 +492,8 @@ TEST(FaultSimTest, EmptyPlanIsBehaviourIdenticalToNoPlan) {
 TEST(FaultSimTest, EmptyPlanIsBehaviourIdenticalForMtatWithWatchdogOff) {
   SimConfig cfg = tiny_config(PolicyKind::kMtatFull);
   cfg.mtat.watchdog.mode = MtatPolicy::Options::Watchdog::Mode::kOff;
-  const SimResult clean = run_sim(cfg, nullptr);
+  obs::RunContext clean_ctx;
+  const SimResult clean = run_sim(cfg, &clean_ctx);
   obs::RunContext ctx;
   ctx.install_faults(FaultPlan{});
   expect_identical(clean, run_sim(cfg, &ctx));
@@ -456,7 +522,8 @@ TEST(FaultSimTest, SameSeedSamePlanIsBitIdentical) {
 TEST(FaultSimTest, SmemLatencySpikeInflatesTailLatency) {
   SimConfig cfg = tiny_config(PolicyKind::kSmemAll);  // LC pinned to SMem
   cfg.bandwidth.enabled = false;  // exercise the direct spike path
-  const SimResult clean = run_sim(cfg, nullptr, 0.4, seconds(5));
+  obs::RunContext clean_ctx;
+  const SimResult clean = run_sim(cfg, &clean_ctx, 0.4, seconds(5));
   FaultPlan plan;
   plan.smem_latency_spikes = {{0, seconds(1000), 0}};
   plan.smem_spike_factor = 4.0;

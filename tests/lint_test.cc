@@ -249,14 +249,6 @@ TEST(LintSource, UsingNamespaceOnlyFlaggedInHeaders) {
   EXPECT_TRUE(cc_findings.empty()) << dump(cc_findings);
 }
 
-TEST(LintSource, GlobalTraceContextIsAnEscape) {
-  const auto findings = lint_fixture("bad_context_escape.cc");
-  EXPECT_TRUE(has(findings, "context-escape", 6, "trace context trace()")) << dump(findings);
-  EXPECT_TRUE(has(findings, "context-escape", 8, "trace context default_trace()"))
-      << dump(findings);
-  EXPECT_EQ(findings.size(), 2u) << dump(findings);
-}
-
 TEST(LintSource, MutableSharedStateIsReportedPerScope) {
   const auto findings = lint_fixture("bad_shared_state.cc");
   EXPECT_TRUE(has(findings, "shared-mutable", 4, "'g_calls' (namespace scope)"))
@@ -399,7 +391,7 @@ TEST(Run, FixtureTreeProducesEveryRule) {
   for (const char* rule :
        {"metric-name", "fault-name", "cluster-name", "perf-name", "node-fault-name",
         "failover-name", "unit-suffix", "nondet",
-        "unsafe-parse", "getenv", "ns-header", "context-escape", "shared-mutable",
+        "unsafe-parse", "getenv", "ns-header", "shared-mutable",
         "unordered-iter", "pointer-order", "tier-literal", "guarded-by",
         "stale-suppression"}) {
     EXPECT_TRUE(std::any_of(findings.begin(), findings.end(),

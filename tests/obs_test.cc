@@ -124,40 +124,31 @@ TEST(Json, EscapesSpecialCharacters) {
 
 // ------------------------------------------------------------------ trace --
 
-// The recorder is a process-wide singleton; every test starts from a clean
-// enabled state and leaves it disabled so the rest of the suite (and the
-// MTAT_TRACE env hook) see no leftover events.
+// Every test gets its own recorder, enabled with a small ring.
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::trace().enable(64);
-    obs::trace().clear();
-    obs::trace().set_now(0);
-    obs::trace().set_track(0);
-  }
-  void TearDown() override {
-    obs::trace().clear();
-    obs::trace().disable();
-  }
+  void SetUp() override { rec_.enable(64); }
+
+  obs::TraceRecorder rec_;
 };
 
 TEST_F(TraceTest, DisabledTracingRecordsNoEvents) {
-  obs::trace().disable();
-  obs::trace().instant("a", "t");
-  obs::trace().complete("b", "t", 0, 100);
-  obs::trace().counter("c", "t", "k", 1.0);
-  { obs::WallSpan span(&obs::trace(), "d", "t"); }
-  EXPECT_EQ(obs::trace().size(), 0u);
-  EXPECT_EQ(obs::trace().dropped(), 0u);
+  rec_.disable();
+  rec_.instant("a", "t");
+  rec_.complete("b", "t", 0, 100);
+  rec_.counter("c", "t", "k", 1.0);
+  { obs::WallSpan span(&rec_, "d", "t"); }
+  EXPECT_EQ(rec_.size(), 0u);
+  EXPECT_EQ(rec_.dropped(), 0u);
 }
 
 TEST_F(TraceTest, RecordsTypedEventsWithSimTimestamps) {
-  obs::trace().set_now(1000);
-  obs::trace().instant("tick", "sim", "k", 3.0);
-  obs::trace().complete("span", "sim", 2000, 500, "pages", 7.0);
-  obs::trace().counter("load", "sim", "rps", 12.0);
-  ASSERT_EQ(obs::trace().size(), 3u);
-  const auto events = obs::trace().snapshot();
+  rec_.set_now(1000);
+  rec_.instant("tick", "sim", "k", 3.0);
+  rec_.complete("span", "sim", 2000, 500, "pages", 7.0);
+  rec_.counter("load", "sim", "rps", 12.0);
+  ASSERT_EQ(rec_.size(), 3u);
+  const auto events = rec_.snapshot();
   EXPECT_EQ(events[0].phase, 'i');
   EXPECT_EQ(events[0].ts, 1000u);
   EXPECT_EQ(events[0].arg1, 3.0);
@@ -169,14 +160,14 @@ TEST_F(TraceTest, RecordsTypedEventsWithSimTimestamps) {
 }
 
 TEST_F(TraceTest, RingOverwritesOldestAndCountsDropped) {
-  obs::trace().enable(8);  // shrink the ring
-  obs::trace().clear();
+  rec_.enable(8);  // shrink the ring
+  rec_.clear();
   for (int i = 0; i < 20; ++i)
-    obs::trace().instant("e", "t", "i", static_cast<double>(i));
-  EXPECT_EQ(obs::trace().size(), 8u);
-  EXPECT_EQ(obs::trace().capacity(), 8u);
-  EXPECT_EQ(obs::trace().dropped(), 12u);
-  const auto events = obs::trace().snapshot();
+    rec_.instant("e", "t", "i", static_cast<double>(i));
+  EXPECT_EQ(rec_.size(), 8u);
+  EXPECT_EQ(rec_.capacity(), 8u);
+  EXPECT_EQ(rec_.dropped(), 12u);
+  const auto events = rec_.snapshot();
   ASSERT_EQ(events.size(), 8u);
   for (std::size_t i = 0; i < events.size(); ++i)  // oldest survivor first
     EXPECT_EQ(events[i].arg1, static_cast<double>(12 + i));
@@ -189,31 +180,31 @@ TEST_F(TraceTest, ConcurrentRecordersClaimDistinctSlots) {
   // test for that contract.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1000;
-  obs::trace().enable(kThreads * kPerThread);  // no wrap: every event survives
-  obs::trace().clear();
+  rec_.enable(kThreads * kPerThread);  // no wrap: every event survives
+  rec_.clear();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
+    threads.emplace_back([this, t] {
       for (int i = 0; i < kPerThread; ++i)
-        obs::trace().instant("e", "t", "thread", static_cast<double>(t));
+        rec_.instant("e", "t", "thread", static_cast<double>(t));
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(obs::trace().size(), static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(obs::trace().dropped(), 0u);
+  EXPECT_EQ(rec_.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(rec_.dropped(), 0u);
   // Every thread's events all landed: no slot was lost to a torn index.
   std::array<int, kThreads> per_thread{};
-  for (const auto& e : obs::trace().snapshot())
+  for (const auto& e : rec_.snapshot())
     ++per_thread[static_cast<int>(e.arg1)];
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_thread[t], kPerThread);
 }
 
 TEST_F(TraceTest, ChromeJsonUsesMicrosecondTimestamps) {
-  obs::trace().complete("mig", "mem", /*ts=*/2000, /*dur=*/3000, "pages", 4.0);
-  obs::trace().set_now(5000);
-  obs::trace().instant("dec", "policy");
+  rec_.complete("mig", "mem", /*ts=*/2000, /*dur=*/3000, "pages", 4.0);
+  rec_.set_now(5000);
+  rec_.instant("dec", "policy");
   std::ostringstream os;
-  obs::trace().write_chrome_json(os);
+  rec_.write_chrome_json(os);
   const std::string s = os.str();
   EXPECT_TRUE(contains(s, "\"traceEvents\""));
   EXPECT_TRUE(contains(s, "\"name\":\"mig\""));
@@ -229,12 +220,12 @@ TEST_F(TraceTest, WallSpanFeedsMetricsAndTrace) {
   obs::MetricsRegistry reg;
   obs::Counter& sum = reg.counter(obs::names::kPolicyWallUs);
   obs::Histogram& hist = reg.histogram(obs::names::kPolicyWallUsHist);
-  obs::trace().set_now(7000);
-  { obs::WallSpan span(&obs::trace(), "work", "policy", &sum, &hist); }
+  rec_.set_now(7000);
+  { obs::WallSpan span(&rec_, "work", "policy", &sum, &hist); }
   EXPECT_GT(sum.value(), 0.0);
   EXPECT_EQ(hist.count(), 1u);
-  ASSERT_EQ(obs::trace().size(), 1u);
-  const auto events = obs::trace().snapshot();
+  ASSERT_EQ(rec_.size(), 1u);
+  const auto events = rec_.snapshot();
   EXPECT_EQ(events[0].phase, 'X');
   EXPECT_EQ(events[0].ts, 7000u);  // placed at sim time, wall duration
   EXPECT_STREQ(events[0].arg1_name, "wall_us");
@@ -285,7 +276,8 @@ SimConfig obs_tiny_config(PolicyKind policy) {
 
 TEST(SimObservability, RegistryDerivedValuesMatchSimResult) {
   SimConfig cfg = obs_tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 100.0), seconds(5));
   const SimResult r = sim.result();
   const obs::MetricsRegistry& reg = sim.metrics();
@@ -309,7 +301,8 @@ TEST(SimObservability, RegistryDerivedValuesMatchSimResult) {
 
 TEST(SimObservability, ResetStatsRebasesDerivedMetrics) {
   SimConfig cfg = obs_tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 100.0), seconds(3), /*measure=*/false);
   sim.reset_stats();
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 100.0), seconds(3));
@@ -325,7 +318,8 @@ TEST(SimObservability, ResetStatsRebasesDerivedMetrics) {
 
 TEST(SimObservability, MtatPolicyPublishesRlAndPpmMetrics) {
   SimConfig cfg = obs_tiny_config(PolicyKind::kMtatFull);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   // The SAC agent only starts updating once its replay buffer holds 50
   // samples (one per interval), so run past that warmup.
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 200.0), seconds(55));
@@ -345,11 +339,11 @@ TEST_F(TraceTest, InstrumentedRunEmitsMigrationPolicyAndIntervalSpans) {
   // The acceptance scenario: a traced run must contain migration spans,
   // policy-decision events, and interval spans.
   SimConfig cfg = obs_tiny_config(PolicyKind::kMemtis);
-  obs::trace().enable();  // default capacity; TraceTest shrank it to 64
-  obs::trace().clear();
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ctx.trace().enable();  // default capacity
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 100.0), seconds(5));
-  const auto events = obs::trace().snapshot();
+  const auto events = ctx.trace().snapshot();
   auto count_named = [&](const char* name) {
     return std::count_if(events.begin(), events.end(), [&](const obs::TraceEvent& e) {
       return std::string(e.name) == name;
@@ -360,20 +354,21 @@ TEST_F(TraceTest, InstrumentedRunEmitsMigrationPolicyAndIntervalSpans) {
   EXPECT_GT(count_named(obs::names::kEvMigration), 0);          // displacement moved pages
   // And the export of a real run is well-formed Chrome JSON.
   std::ostringstream os;
-  obs::trace().write_chrome_json(os);
+  ctx.trace().write_chrome_json(os);
   EXPECT_TRUE(contains(os.str(), "\"traceEvents\""));
   EXPECT_TRUE(contains(os.str(), "\"name\":\"interval\""));
 }
 
 TEST(SimObservability, UntracedRunRecordsNoEvents) {
-  // Tracing is default-off: a full instrumented run must leave the global
-  // recorder empty (the near-zero disabled cost contract).
-  obs::trace().clear();
-  obs::trace().disable();
+  // Tracing is default-off: a full instrumented run must leave the context's
+  // recorder empty and unallocated (the near-zero disabled cost contract).
+  obs::RunContext ctx;
   SimConfig cfg = obs_tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 100.0), seconds(3));
-  EXPECT_EQ(obs::trace().size(), 0u);
+  EXPECT_FALSE(ctx.trace().enabled());
+  EXPECT_EQ(ctx.trace().size(), 0u);
+  EXPECT_EQ(ctx.trace().capacity(), 0u);
 }
 
 }  // namespace

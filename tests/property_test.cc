@@ -33,7 +33,8 @@ TEST_P(DeterminismSweep, SameSeedSameResult) {
   // identical configuration must agree bit-for-bit on every reported metric.
   const auto run_once = [&] {
     SimConfig cfg = tiny(GetParam());
-    ColocationSim sim(cfg);
+    obs::RunContext ctx;
+    ColocationSim sim(cfg, &ctx);
     sim.run(LoadPattern::figure7(cfg.lc.max_load_krps * 1000.0), seconds(40));
     return sim.result();
   };
@@ -57,7 +58,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, DeterminismSweep,
 
 TEST(Determinism, DifferentSeedsDiffer) {
   SimConfig a_cfg = tiny(PolicyKind::kMemtis, 1), b_cfg = tiny(PolicyKind::kMemtis, 2);
-  ColocationSim a(a_cfg), b(b_cfg);
+  obs::RunContext a_ctx, b_ctx;
+  ColocationSim a(a_cfg, &a_ctx), b(b_cfg, &b_ctx);
   const LoadPattern pat = LoadPattern::constant(4000.0);
   a.run(pat, seconds(5));
   b.run(pat, seconds(5));
@@ -164,7 +166,8 @@ TEST(FailureInjection, ZeroMigrationBudgetFreezesPlacementNotTheSim) {
   // bound would be empty — so the frozen-platform case uses MEMTIS.)
   SimConfig cfg = tiny(PolicyKind::kMemtis);
   cfg.migration_bandwidth = 1.0;  // ~0 pages/s: nothing can ever move
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const auto before = sim.mem().workload_pages(0, Tier::kFMem);
   sim.run(LoadPattern::constant(2000.0), seconds(5));
   EXPECT_EQ(sim.mem().workload_pages(0, Tier::kFMem), before);
@@ -198,7 +201,8 @@ TEST(FailureInjection, PermanentOverloadKeepsGuardPegged) {
   // Load far beyond any placement's capacity: everything violates, the guard
   // pins the LC reservation at capacity, and the sim stays alive throughout.
   SimConfig cfg = tiny(PolicyKind::kMtatFull);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 3000.0), seconds(10));
   const SimResult r = sim.result();
   EXPECT_GT(r.slo_violation_rate, 0.9);
@@ -208,7 +212,8 @@ TEST(FailureInjection, PermanentOverloadKeepsGuardPegged) {
 TEST(FailureInjection, PatternWithIdleGaps) {
   SimConfig cfg = tiny(PolicyKind::kMemtis);
   const LoadPattern pat({{seconds(2), 2000.0}, {seconds(3), 0.0}, {seconds(2), 2000.0}});
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(pat, seconds(7));
   const SimResult r = sim.result();
   // The idle window serves nothing but the run completes and resumes.

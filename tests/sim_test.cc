@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
@@ -27,7 +28,8 @@ class AllPolicies : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(AllPolicies, RunsAndProducesConsistentMetrics) {
   SimConfig cfg = tiny_config(GetParam());
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.5);
   sim.run(pat, seconds(10));
   const SimResult r = sim.result();
@@ -65,14 +67,26 @@ INSTANTIATE_TEST_SUITE_P(Policies, AllPolicies,
                                            PolicyKind::kMemtisHp),
                          [](const auto& info) { return policy_name(info.param); });
 
+TEST(ColocationSim, RejectsNullRunContext) {
+  // The context is required: there is no process-global one to fall back on.
+  const SimConfig cfg = tiny_config(PolicyKind::kMemtis);
+  EXPECT_THROW(ColocationSim sim(cfg, nullptr), std::invalid_argument);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
+  sim.run(LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.3), seconds(2));
+  EXPECT_THROW(ColocationSim::restore(sim.snapshot(), nullptr), std::invalid_argument);
+}
+
 TEST(ColocationSim, StaticPinsPlaceAsConfigured) {
   {
-    ColocationSim sim(tiny_config(PolicyKind::kFmemAll));
+    obs::RunContext ctx;
+    ColocationSim sim(tiny_config(PolicyKind::kFmemAll), &ctx);
     EXPECT_GT(sim.mem().fmem_usage_ratio(0), 0.9);
     EXPECT_EQ(sim.mem().workload_pages(1, Tier::kFMem), 0u);
   }
   {
-    ColocationSim sim(tiny_config(PolicyKind::kSmemAll));
+    obs::RunContext ctx;
+    ColocationSim sim(tiny_config(PolicyKind::kSmemAll), &ctx);
     EXPECT_EQ(sim.mem().workload_pages(0, Tier::kFMem), 0u);
     EXPECT_GT(sim.mem().workload_pages(1, Tier::kFMem), 0u);
   }
@@ -81,7 +95,8 @@ TEST(ColocationSim, StaticPinsPlaceAsConfigured) {
 TEST(ColocationSim, MemtisDisplacesIdleLcUnderBePressure) {
   // Figure 2's opening phenomenon at miniature scale.
   SimConfig cfg = tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   EXPECT_GT(sim.mem().fmem_usage_ratio(0), 0.9);  // LC starts resident
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 100.0);  // 10% load
   sim.run(pat, seconds(10));
@@ -90,7 +105,8 @@ TEST(ColocationSim, MemtisDisplacesIdleLcUnderBePressure) {
 
 TEST(ColocationSim, ResetStatsClearsMeasurementOnly) {
   SimConfig cfg = tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(1000.0);
   sim.run(pat, seconds(3));
   EXPECT_FALSE(sim.result().series.empty());
@@ -105,7 +121,8 @@ TEST(ColocationSim, ResetStatsClearsMeasurementOnly) {
 
 TEST(ColocationSim, UnmeasuredRunRecordsNothing) {
   SimConfig cfg = tiny_config(PolicyKind::kMemtis);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(1000.0);
   sim.run(pat, seconds(3), /*measure=*/false);
   EXPECT_TRUE(sim.result().series.empty());
@@ -117,7 +134,8 @@ TEST(ColocationSim, MtatSharedAgentPersistsLearning) {
   SimConfig cfg = tiny_config(PolicyKind::kMtatFull);
   cfg.shared_agent = &agent;
   {
-    ColocationSim sim(cfg);
+    obs::RunContext ctx;
+    ColocationSim sim(cfg, &ctx);
     sim.run(LoadPattern::constant(2000.0), seconds(5), false);
   }
   EXPECT_GE(agent.buffer_size(), 4u);  // transitions outlive the sim
@@ -126,7 +144,8 @@ TEST(ColocationSim, MtatSharedAgentPersistsLearning) {
 TEST(ColocationSim, MigrationBandwidthIsBounded) {
   SimConfig cfg = tiny_config(PolicyKind::kMemtis);
   cfg.migration_bandwidth = 64.0 * 1024 * 1024;  // 64 MB/s
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(2000.0), seconds(5));
   EXPECT_LE(sim.result().migration_bytes_per_sec, 64.0 * 1024 * 1024 * 1.05);
 }
@@ -168,10 +187,12 @@ TEST(Experiments, FindMaxLoadBisectsMonotonePredicate) {
 
 TEST(Experiments, ProbeSloSustainableAgreesWithCapacity) {
   SimConfig cfg = tiny_config(PolicyKind::kFmemAll);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   EXPECT_TRUE(experiments::probe_slo_sustainable(sim, cfg.lc.max_load_krps * 0.5, seconds(2), seconds(6)));
   SimConfig cfg2 = tiny_config(PolicyKind::kFmemAll);
-  ColocationSim sim2(cfg2);
+  obs::RunContext sim2_ctx;
+  ColocationSim sim2(cfg2, &sim2_ctx);
   EXPECT_FALSE(
       experiments::probe_slo_sustainable(sim2, cfg.lc.max_load_krps * 1.4, seconds(2), seconds(6)));
 }
@@ -181,7 +202,8 @@ TEST(ColocationSim, VtmmAllocatesProportionallyToHotSets) {
   // correspondingly large partition; the near-idle LC tenant keeps only the
   // floor share even though it allocated FMem first.
   SimConfig cfg = tiny_config(PolicyKind::kVtmm);
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 100.0);  // 10% load
   sim.run(pat, seconds(10));
   const SimResult r = sim.result();
@@ -198,11 +220,13 @@ TEST(BandwidthModel, SaturationInflatesLatency) {
   // versus the uncontended run.
   SimConfig cfg = tiny_config(PolicyKind::kSmemAll);
   const LoadPattern pat = LoadPattern::constant(500.0);
-  ColocationSim baseline(cfg);
+  obs::RunContext baseline_ctx;
+  ColocationSim baseline(cfg, &baseline_ctx);
   baseline.run(pat, seconds(5));
   cfg.bandwidth.enabled = true;
   cfg.bandwidth.smem_accesses_per_sec = 1e6;  // well under BE demand
-  ColocationSim contended(cfg);
+  obs::RunContext contended_ctx;
+  ColocationSim contended(cfg, &contended_ctx);
   contended.run(pat, seconds(5));
   EXPECT_GT(contended.mem().contention_factor(Tier::kSMem), 1.5);
   EXPECT_LT(contended.result().be_total_throughput,
@@ -244,7 +268,8 @@ TEST(BandwidthModel, EwmaFactorConvergesUnderConstantLoad) {
   SimConfig cfg = tiny_config(PolicyKind::kSmemAll);
   cfg.bandwidth.enabled = true;
   cfg.bandwidth.smem_accesses_per_sec = 1e6;  // well under BE demand
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   const LoadPattern pat = LoadPattern::constant(500.0);
   std::vector<double> samples;
   for (int i = 0; i < 10; ++i) {
@@ -274,7 +299,8 @@ TEST(BandwidthModel, UncontendedTiersKeepBaseLatency) {
   cfg.bandwidth.enabled = true;  // generous default capacities
   cfg.bandwidth.fmem_accesses_per_sec = 1e12;
   cfg.bandwidth.smem_accesses_per_sec = 1e12;
-  ColocationSim sim(cfg);
+  obs::RunContext ctx;
+  ColocationSim sim(cfg, &ctx);
   sim.run(LoadPattern::constant(500.0), seconds(3));
   EXPECT_NEAR(sim.mem().contention_factor(Tier::kFMem), 1.0, 1e-3);
   EXPECT_NEAR(sim.mem().contention_factor(Tier::kSMem), 1.0, 1e-3);

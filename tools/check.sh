@@ -16,11 +16,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Determinism/ownership gates (including the old obs::trace() grep) live in
-# mtat_lint now: the context-escape rule polices the process-global recorder
-# tree-wide (DESIGN.md §11/§15), with the sanctioned construction sites
-# allowlisted. Run it first, standalone, so a finding fails fast before any
-# full lane builds.
+# Every golden a ctest compares against must be in git, or the gate passes
+# here and fails on a clean checkout.
+echo "==== goldens are committed ===="
+tests/goldens_tracked.sh
+
+# Determinism/ownership gates live in mtat_lint (DESIGN.md §15). Run it
+# first, standalone, so a finding fails fast before any full lane builds.
 echo "==== mtat_lint (tree-wide static analysis) ===="
 cmake -B build-check/release -S . -DCMAKE_BUILD_TYPE=Release \
       -DMTAT_SANITIZE= -DMTAT_WERROR=ON >/dev/null
@@ -123,6 +125,11 @@ cp BENCH_core.json "${smoke_dir}/"
  MTAT_SCALE=smoke MTAT_PERF_LABEL=check-smoke "${repo_root}/build-check/release/bench/perf_core" &&
  "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_core.json)
 rm -rf "${smoke_dir}"
+
+# The repository benchmark (perfbench/) compiles src/ on its own; its
+# self-test builds it and checks it end to end at a tiny size.
+echo "==== repository benchmark self-test (perfbench/selftest.py) ===="
+python3 perfbench/selftest.py
 
 # Thread-safety lane: clang's -Wthread-safety *proves* the GUARDED_BY /
 # REQUIRES / EXCLUDES contracts from src/common/thread_annotations.h (the

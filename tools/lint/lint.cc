@@ -230,7 +230,6 @@ class SourceLinter {
                "`using namespace` in a header leaks into every includer; qualify names or "
                "move the directive into a .cc file");
       check_metric_call(i);
-      check_context_escape(i);
       check_pointer_order(i);
       check_unordered_begin(i);
       check_tier_literal(i);
@@ -345,26 +344,6 @@ class SourceLinter {
       }
       return;
     }
-  }
-
-  /// obs::trace() / obs::default_trace() (and bare default_trace()) reach for
-  /// the process-global trace context. This is the lint form of the old
-  /// check.sh grep gate, generalized: thread a RunContext / TraceRecorder&
-  /// through the call chain instead. Sanctioned sites are allowlisted.
-  void check_context_escape(std::size_t i) {
-    const Token& t = lexed_.tokens[i];
-    if (t.text != "trace" && t.text != "default_trace") return;
-    const Token* open = tok(i + 1);
-    const Token* close = tok(i + 2);
-    if (open == nullptr || close == nullptr || !is_punct(*open, "(") || !is_punct(*close, ")"))
-      return;
-    const bool obs_qualified = i >= 2 && is_punct(lexed_.tokens[i - 1], "::") &&
-                               is_ident(lexed_.tokens[i - 2], "obs");
-    if (!obs_qualified && t.text != "default_trace") return;
-    report(t.line, "context-escape",
-           "process-global trace context " + t.text +
-               "(): thread the RunContext (or a TraceRecorder&) through the call chain; "
-               "sanctioned construction/merge sites carry an explicit suppression");
   }
 
   /// std::map/std::set (or their unordered cousins) keyed by a pointer type,

@@ -45,13 +45,6 @@
 //  getenv        Direct std::getenv is banned; bench::Env (bench/env.h) is
 //                the one validated knob parser.
 //  ns-header     `using namespace` in a header leaks into every includer.
-//  context-escape
-//                Reaching for the process-global trace context —
-//                obs::trace() / obs::default_trace() — couples the callee to
-//                ambient state and is how trace output forks between runs.
-//                Thread a RunContext / TraceRecorder& through instead. The
-//                sanctioned construction and merge sites are allowlisted.
-//                (This rule replaces the old check.sh grep gate.)
 //  pointer-order Ordering or keying by pointer value — std::map/std::set
 //                keyed by a pointer type, or uintptr_t/intptr_t conversions —
 //                follows allocation addresses, which differ run to run.
@@ -68,9 +61,9 @@
 //                `static`s, and non-const static data members are mutable
 //                state shared across threads and calls: writes are schedule-
 //                dependent and initialization order is fragile. Pass state
-//                through explicitly. Intentional process-globals (the default
-//                trace recorder, an atomic reentrancy latch, a guarded memo
-//                cache) carry an inline suppression with an ownership note.
+//                through explicitly. Intentional process-globals (an atomic
+//                reentrancy latch, a guarded memo cache, a benchmark sink)
+//                carry an inline suppression with an ownership note.
 //  unordered-iter
 //                Iterating a std::unordered_map/set (range-for over it, or
 //                walking its .begin()) visits elements in hash/bucket order,

@@ -20,7 +20,7 @@
 #include "common/parse.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
-#include "obs/trace.h"
+#include "obs/run_context.h"
 #include "mem/topology.h"
 #include "sim/colocation_sim.h"
 #include "workloads/be/be_suite.h"
@@ -157,8 +157,10 @@ LCConfig lc_from(const Args& a) {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  // Enable before the sim exists so construction-time events are captured.
-  if (!a.trace_path.empty()) obs::trace().enable();
+  // The run's one context; tracing is enabled before the sim exists so
+  // construction-time events are captured.
+  obs::RunContext ctx;
+  if (!a.trace_path.empty()) ctx.trace().enable();
 
   SimConfig cfg;
   cfg.fmem = static_cast<Bytes>(a.fmem_mib * 1024 * 1024);
@@ -184,7 +186,7 @@ int main(int argc, char** argv) {
     cfg.bandwidth.smem_accesses_per_sec = 25e6 * a.n_be;
   }
 
-  ColocationSim sim(cfg);
+  ColocationSim sim(cfg, &ctx);
   const double max_rps = cfg.lc.max_load_krps * 1000.0;
   const LoadPattern pattern = a.pattern == "constant"
                                   ? LoadPattern::constant(a.load_fraction * max_rps)
@@ -245,10 +247,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot open %s for writing\n", a.trace_path.c_str());
       rc = 1;
     } else {
-      obs::trace().write_chrome_json(out);
+      ctx.trace().write_chrome_json(out);
       out << '\n';
       std::printf("trace           %s (%zu events, %llu dropped)\n", a.trace_path.c_str(),
-                  obs::trace().size(), (unsigned long long)obs::trace().dropped());
+                  ctx.trace().size(), (unsigned long long)ctx.trace().dropped());
     }
   }
   if (!a.metrics_path.empty()) {
