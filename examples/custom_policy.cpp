@@ -124,7 +124,7 @@ void run_custom(double reserve_fraction) {
       bytes_to_pages(Bytes{128} * 1024 * 1024),
       bytes_to_pages(Bytes{2} * 1024 * 1024 * 1024));
   TieredMemory mem(mc);
-  MigrationEngine engine(mem, {4.0 * 1024 * 1024 * 1024});
+  MigrationEngine engine(mem, {4.0 * 1024 * 1024 * 1024, {}});
   AccessSampler sampler(mem, 1024);
 
   LCConfig lc_cfg = redis_config();

@@ -25,7 +25,7 @@ int main() {
       bytes_to_pages(Bytes{128} * 1024 * 1024),
       bytes_to_pages(Bytes{2} * 1024 * 1024 * 1024));
   TieredMemory mem(mc);
-  MigrationEngine engine(mem, {4.0 * 1024 * 1024 * 1024});
+  MigrationEngine engine(mem, {4.0 * 1024 * 1024 * 1024, {}});
   AccessSampler sampler(mem, 1024);
 
   // Two LC tenants, each sized to roughly half the fast tier.

@@ -35,7 +35,8 @@ class AddressSpace {
       : mem_(&mem),
         workload_(w),
         size_(size),
-        sample_period_(sample_period == 0 ? 1 : sample_period) {
+        sample_period_(sample_period == 0 ? 1 : sample_period),
+        next_sample_at_(sample_period_) {
     if (size == 0) throw std::invalid_argument("AddressSpace: zero size");
     pages_ = mem.allocate(w, bytes_to_pages(size), policy);
   }
@@ -60,11 +61,18 @@ class AddressSpace {
   /// individual calls would, in O(1).
   Duration access_page_n(std::uint64_t vpage, std::uint64_t n, AccessKind kind = AccessKind::kRead) {
     const PageId p = page_at_index(vpage);
-    const std::uint64_t before = accesses_ / sample_period_;
     accesses_ += n;
-    const std::uint64_t samples = accesses_ / sample_period_ - before;
-    if (observer_ != nullptr)
-      for (std::uint64_t i = 0; i < samples; ++i) observer_->on_sampled_access(workload_, p, kind);
+    // A sample fires at every multiple of sample_period_ the access count
+    // reaches. Comparing against the next one, rather than dividing the
+    // count, keeps the common case to one compare.
+    if (accesses_ >= next_sample_at_) {
+      std::uint64_t samples = 1;
+      const std::uint64_t past = accesses_ - next_sample_at_;
+      if (past >= sample_period_) samples += past / sample_period_;
+      next_sample_at_ += samples * sample_period_;
+      if (observer_ != nullptr)
+        for (std::uint64_t i = 0; i < samples; ++i) observer_->on_sampled_access(workload_, p, kind);
+    }
     return mem_->access_latency(p) * n;
   }
 
@@ -101,6 +109,7 @@ class AddressSpace {
   std::vector<PageId> pages_;
   AccessObserver* observer_ = nullptr;
   std::uint64_t accesses_ = 0;
+  std::uint64_t next_sample_at_;  // the smallest multiple of sample_period_ above accesses_
 };
 
 }  // namespace mtat

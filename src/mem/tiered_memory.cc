@@ -19,6 +19,7 @@ TieredMemory::TieredMemory(const Config& cfg) : cfg_(cfg) {
   if (total == 0) throw std::invalid_argument("TieredMemory: zero total capacity");
   used_.assign(cfg.tiers.size(), 0);
   contention_.assign(cfg.tiers.size(), 1.0);
+  for (TierId t = 0; t < cfg.tiers.size(); ++t) latency_[t] = contended_latency(t);
   info_.reserve(total);
 }
 

@@ -110,10 +110,9 @@ class TieredMemory {
   const TierSpec& tier_spec(TierId t) const { return cfg_.tiers[t]; }
 
   /// Per-access latency of the given tier, including any contention factor
-  /// currently applied (see set_contention_factor).
-  Duration latency(TierId t) const {
-    return static_cast<Duration>(static_cast<double>(cfg_.tiers[t].latency) * contention_[t]);
-  }
+  /// currently applied (see set_contention_factor). Read on every charged
+  /// access, so it is a cached value, recomputed only when the factor moves.
+  Duration latency(TierId t) const { return latency_[t]; }
 
   /// Uncontended latency of a tier (the configured constant).
   Duration base_latency(TierId t) const { return cfg_.tiers[t].latency; }
@@ -125,6 +124,7 @@ class TieredMemory {
   void set_contention_factor(TierId t, double factor) {
     if (factor < 1.0) throw std::invalid_argument("TieredMemory: contention factor < 1");
     contention_[check_tier(t)] = factor;
+    latency_[t] = contended_latency(t);
   }
   double contention_factor(TierId t) const { return contention_[t]; }
   /// Latency of an access to page `p` given its current placement.
@@ -206,6 +206,10 @@ class TieredMemory {
     return t;
   }
 
+  Duration contended_latency(TierId t) const {
+    return static_cast<Duration>(static_cast<double>(cfg_.tiers[t].latency) * contention_[t]);
+  }
+
   void place(PageId p, TierId t);  // internal move without full-destination check
   void ensure_workload(WorkloadId w);
 
@@ -215,6 +219,7 @@ class TieredMemory {
   std::vector<MigrationListener*> listeners_;
   std::vector<std::uint64_t> used_;
   std::vector<double> contention_;
+  std::array<Duration, kMaxTiers> latency_{};  // contended_latency(t), in step with contention_
   std::uint64_t migrations_ = 0;
 };
 

@@ -107,6 +107,9 @@ inline constexpr const char* kPerfSacInferencePerSec = "perf.sac_inference_per_s
 inline constexpr const char* kPerfClusterQuarterStepsPerSec = "perf.cluster_quarter_steps_per_sec";
 inline constexpr const char* kPerfClusterHalfStepsPerSec = "perf.cluster_half_steps_per_sec";
 inline constexpr const char* kPerfClusterFullStepsPerSec = "perf.cluster_full_steps_per_sec";
+inline constexpr const char* kPerfRmatEdgesPerSec = "perf.rmat_edges_per_sec";
+inline constexpr const char* kPerfCsrEdgesPerSec = "perf.csr_edges_per_sec";
+inline constexpr const char* kPerfProfileAccessesPerSec = "perf.profile_accesses_per_sec";
 // mtat-lint: section=trace-event
 inline constexpr const char* kEvInterval = "interval";
 inline constexpr const char* kEvMigration = "migration";
@@ -160,13 +163,14 @@ inline constexpr const char* kAllMetricNames[] = {
     kClusterFailoverColdRestarts, kClusterFailoverPlacementMode, kPerfSimStepsPerSec,
     kPerfSamplerIngestPerSec, kPerfHotnessRecordAgePerSec, kPerfHotnessPullPerSec,
     kPerfMigrationsPerSec, kPerfSacInferencePerSec, kPerfClusterQuarterStepsPerSec,
-    kPerfClusterHalfStepsPerSec, kPerfClusterFullStepsPerSec};
+    kPerfClusterHalfStepsPerSec, kPerfClusterFullStepsPerSec, kPerfRmatEdgesPerSec,
+    kPerfCsrEdgesPerSec, kPerfProfileAccessesPerSec};
 
 /// Wall-clock-domain metrics: the only registry entries allowed to differ
 /// between two same-seed runs (they measure host compute time, not simulated
 /// behaviour). The determinism regression test skips exactly these. The whole
 /// perf.* family is wall-derived by construction — every one is an ops/s
-/// throughput rated against host wall time by bench/perf_core.
+/// throughput rated against host wall time by a perf_* bench.
 inline constexpr bool is_wall_time_metric(std::string_view name) {
   return name.find("wall") != std::string_view::npos ||
          name.substr(0, 5) == "perf.";  // mtat-lint: allow(perf-name)

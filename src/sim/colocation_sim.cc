@@ -29,7 +29,7 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx)
 
   // --- Platform ---------------------------------------------------------------
   TieredMemory::Config mc;
-  MigrationEngine::Config ec{cfg.migration_bandwidth};
+  MigrationEngine::Config ec{cfg.migration_bandwidth, {}};
   if (cfg.tiers.empty()) {
     mc = TieredMemory::Config::two_tier(bytes_to_pages(cfg.fmem), bytes_to_pages(cfg.smem),
                                         cfg.fmem_latency, cfg.smem_latency);

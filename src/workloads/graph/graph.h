@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,8 +44,15 @@ class Graph {
 /// (self-loops removed), symmetrized like GAPBS's -u inputs.
 Graph make_uniform_graph(std::uint64_t n, std::uint64_t m, Rng& rng);
 
-/// R-MAT / Kronecker graph of 2^scale vertices and edges_per_vertex * 2^scale
-/// edges with GAPBS's default (A,B,C) = (0.57, 0.19, 0.19), symmetrized.
+/// R-MAT / Kronecker edge list over 2^scale vertices: edges_per_vertex *
+/// 2^scale draws with GAPBS's default (A,B,C) = (0.57, 0.19, 0.19), `scale`
+/// doubles each, in draw order; self-loops are dropped.
+std::vector<std::pair<Graph::Vertex, Graph::Vertex>> make_rmat_edges(int scale,
+                                                                     int edges_per_vertex,
+                                                                     Rng& rng);
+
+/// The symmetrized graph of make_rmat_edges, with per-edge weights drawn
+/// from `rng` after the edges.
 Graph make_rmat_graph(int scale, int edges_per_vertex, Rng& rng);
 
 }  // namespace mtat

@@ -108,7 +108,7 @@ struct PpeHarness {
               TieredMemory::Config::two_tier(fmem, smem);
           return c;
         }()),
-        engine(mem, {1e12}),  // effectively unlimited per-interval bandwidth
+        engine(mem, {1e12, {}}),  // effectively unlimited per-interval bandwidth
         sampler(mem) {
     ctx.mem = &mem;
     ctx.engine = &engine;

@@ -324,7 +324,7 @@ struct EngineFixture {
               TieredMemory::Config::two_tier(32, 64);
           return mc;
         }()),
-        engine(mem, {100.0 * static_cast<double>(kPageSize)}) {
+        engine(mem, {100.0 * static_cast<double>(kPageSize), {}}) {
     fmem_pages = mem.allocate(0, 8, kTierOnly(Tier::kFMem));
     smem_pages = mem.allocate(1, 8, kTierOnly(Tier::kSMem));
     ctx.install_faults(plan);

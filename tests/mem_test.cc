@@ -174,16 +174,32 @@ TEST(TieredMemory, ContentionFactorScalesLatency) {
   EXPECT_THROW(mem.set_contention_factor(Tier::kFMem, 0.5), std::invalid_argument);
 }
 
+TEST(TieredMemory, CachedLatencyFollowsEveryContentionChange) {
+  TieredMemory mem(small_config());
+  const auto contended = [](Duration base, double f) {
+    return static_cast<Duration>(static_cast<double>(base) * f);
+  };
+  for (const double f : {1.0, 1.37, 2.0, 9.99, 1.0, 1.0000001}) {
+    mem.set_contention_factor(Tier::kSMem, f);
+    EXPECT_EQ(mem.latency(Tier::kSMem), contended(202, f)) << f;
+    EXPECT_EQ(mem.access_latency(mem.allocate(0, 1, kTierOnly(Tier::kSMem))[0]),
+              contended(202, f));
+  }
+  // A rejected factor leaves the cached latency as it was.
+  EXPECT_THROW(mem.set_contention_factor(Tier::kSMem, 0.9), std::invalid_argument);
+  EXPECT_EQ(mem.latency(Tier::kSMem), contended(202, 1.0000001));
+}
+
 // ------------------------------------------------------ MigrationEngine ----
 
 TEST(MigrationEngine, RejectsNonPositiveBandwidth) {
   TieredMemory mem(small_config());
-  EXPECT_THROW(MigrationEngine(mem, {0.0}), std::invalid_argument);
+  EXPECT_THROW(MigrationEngine(mem, {0.0, {}}), std::invalid_argument);
 }
 
 TEST(MigrationEngine, BudgetMatchesBandwidth) {
   TieredMemory mem(small_config());
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 100});  // 100 pages/s
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 100, {}});  // 100 pages/s
   eng.begin_interval(seconds(1));
   EXPECT_EQ(eng.budget_pages(), 100u);
   eng.begin_interval(milliseconds(10));
@@ -192,7 +208,7 @@ TEST(MigrationEngine, BudgetMatchesBandwidth) {
 
 TEST(MigrationEngine, FractionalBudgetCarriesOver) {
   TieredMemory mem(small_config());
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 10});  // 10 pages/s
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 10, {}});  // 10 pages/s
   std::uint64_t total = 0;
   for (int i = 0; i < 100; ++i) {  // 100 x 25 ms = 2.5 s -> 25 pages exactly
     eng.begin_interval(milliseconds(25));
@@ -203,7 +219,7 @@ TEST(MigrationEngine, FractionalBudgetCarriesOver) {
 
 TEST(MigrationEngine, Eq1BoundIsHalfBandwidth) {
   TieredMemory mem(small_config());
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 1000});
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 1000, {}});
   EXPECT_EQ(eng.max_pages_per_direction(seconds(1)), 500u);
   EXPECT_EQ(eng.max_pages_per_direction(seconds(2)), 1000u);
 }
@@ -211,7 +227,7 @@ TEST(MigrationEngine, Eq1BoundIsHalfBandwidth) {
 TEST(MigrationEngine, MovesDebitBudget) {
   TieredMemory mem(small_config());
   const auto s = mem.allocate(0, 4, kTierOnly(Tier::kSMem));
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 3});
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 3, {}});
   eng.begin_interval(seconds(1));  // 3 pages of budget
   EXPECT_TRUE(eng.promote(s[0]));
   EXPECT_TRUE(eng.promote(s[1]));
@@ -225,7 +241,7 @@ TEST(MigrationEngine, ExchangeCostsTwoPages) {
   TieredMemory mem(small_config(1, 4));
   const auto f = mem.allocate(0, 1, kTierOnly(Tier::kFMem));
   const auto s = mem.allocate(1, 2, kTierOnly(Tier::kSMem));
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 3});
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 3, {}});
   eng.begin_interval(seconds(1));
   EXPECT_TRUE(eng.exchange(s[0], f[0]));
   EXPECT_EQ(eng.budget_pages(), 1u);
@@ -235,7 +251,7 @@ TEST(MigrationEngine, ExchangeCostsTwoPages) {
 TEST(MigrationEngine, ExchangeValidatesTiers) {
   TieredMemory mem(small_config());
   const auto s = mem.allocate(0, 2, kTierOnly(Tier::kSMem));
-  MigrationEngine eng(mem, {1e9});
+  MigrationEngine eng(mem, {1e9, {}});
   eng.begin_interval(seconds(1));
   EXPECT_FALSE(eng.exchange(s[0], s[1]));  // demote target not in FMem
 }
@@ -243,7 +259,7 @@ TEST(MigrationEngine, ExchangeValidatesTiers) {
 TEST(MigrationEngine, DemoteSymmetric) {
   TieredMemory mem(small_config());
   const auto f = mem.allocate(0, 1, kTierOnly(Tier::kFMem));
-  MigrationEngine eng(mem, {1e9});
+  MigrationEngine eng(mem, {1e9, {}});
   eng.begin_interval(seconds(1));
   EXPECT_TRUE(eng.demote(f[0]));
   EXPECT_EQ(mem.tier_of(f[0]), Tier::kSMem);
@@ -319,6 +335,24 @@ TEST(AddressSpace, AccessPageNEmitsProportionalSamples) {
   EXPECT_EQ(obs.count, 10);
 }
 
+TEST(AddressSpace, SampleCountIsPeriodMultiplesReached) {
+  // Whatever mix of call sizes reaches it, the sample count after N accesses
+  // is floor(N / period): zero-size calls, calls ending exactly on a
+  // multiple, and calls spanning several periods at once.
+  for (const std::uint64_t period : {1u, 3u, 7u, 256u}) {
+    TieredMemory mem(small_config(0, 64));
+    AddressSpace space(mem, 0, kPageSize, kTierOnly(Tier::kSMem), period);
+    CountingObserver obs;
+    space.set_observer(&obs);
+    Rng rng(period);
+    for (int i = 0; i < 2000; ++i) {
+      space.access_page_n(0, rng.next_below(3 * period + 2));
+      ASSERT_EQ(static_cast<std::uint64_t>(obs.count), space.total_accesses() / period)
+          << "period " << period << " call " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mtat
 
@@ -343,7 +377,7 @@ TEST(MigrationEngine, BudgetPersistsAcrossFailedMoves) {
   TieredMemory mem(small_config(1, 8));
   mem.allocate(0, 1, kTierOnly(Tier::kFMem));
   const auto s = mem.allocate(1, 2, kTierOnly(Tier::kSMem));
-  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 10});
+  MigrationEngine eng(mem, {static_cast<double>(kPageSize) * 10, {}});
   eng.begin_interval(seconds(1));
   EXPECT_FALSE(eng.promote(s[0]));  // FMem full
   EXPECT_EQ(eng.budget_pages(), 10u);

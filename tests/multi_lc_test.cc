@@ -19,7 +19,7 @@ struct Harness {
               TieredMemory::Config::two_tier(1000, 8000);
           return c;
         }()),
-        engine(mem, {1e12}),
+        engine(mem, {1e12, {}}),
         sampler(mem) {
     ctx.mem = &mem;
     ctx.engine = &engine;

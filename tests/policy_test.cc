@@ -24,7 +24,7 @@ struct Harness {
               TieredMemory::Config::two_tier(fmem, smem);
           return c;
         }()),
-        engine(mem, {1e12}),
+        engine(mem, {1e12, {}}),
         sampler(mem) {
     ctx.mem = &mem;
     ctx.engine = &engine;
@@ -105,7 +105,7 @@ TEST(Memtis, RespectsMigrationBudget) {
     for (int i = 0; i < 64; ++i)
       h.sampler.on_sampled_access(1, be[static_cast<std::size_t>(i)], AccessKind::kRead);
   // Budget of 8 pages -> at most 4 exchanges this tick.
-  MigrationEngine tight(h.mem, {static_cast<double>(kPageSize) * 8});
+  MigrationEngine tight(h.mem, {static_cast<double>(kPageSize) * 8, {}});
   h.ctx.engine = &tight;
   MemtisPolicy throttled(h.ctx);
   for (int r = 0; r < 4; ++r)

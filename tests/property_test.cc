@@ -77,7 +77,7 @@ TEST_P(ChurnSweep, InvariantsHoldUnderRandomQuotaPlans) {
   TieredMemory::Config mc =
       TieredMemory::Config::two_tier(128, 2048);
   TieredMemory mem(mc);
-  MigrationEngine engine(mem, {1e12});
+  MigrationEngine engine(mem, {1e12, {}});
   AccessSampler sampler(mem);
   PolicyContext ctx;
   ctx.mem = &mem;
@@ -178,7 +178,7 @@ TEST(FailureInjection, OnePageFMemPlatform) {
   TieredMemory::Config mc =
       TieredMemory::Config::two_tier(1, 1 << 16);
   TieredMemory mem(mc);
-  MigrationEngine engine(mem, {1e12});
+  MigrationEngine engine(mem, {1e12, {}});
   AccessSampler sampler(mem);
   PolicyContext ctx;
   ctx.mem = &mem;

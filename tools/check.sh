@@ -118,12 +118,22 @@ echo "==== perf regression gate (perf_diff --trajectory BENCH_core.json) ===="
 "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_core.json
 echo "==== perf regression gate (perf_diff --trajectory BENCH_cluster.json) ===="
 "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_cluster.json
+echo "==== perf regression gate (perf_diff --trajectory BENCH_setup.json) ===="
+"${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_setup.json
 echo "==== perf lane smoke (release, MTAT_SCALE=smoke, fresh entry report) ===="
 smoke_dir=$(mktemp -d)
 cp BENCH_core.json "${smoke_dir}/"
 (cd "${smoke_dir}" &&
  MTAT_SCALE=smoke MTAT_PERF_LABEL=check-smoke "${repo_root}/build-check/release/bench/perf_core" &&
  "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_core.json)
+rm -rf "${smoke_dir}"
+# Same for the set-up lane (R-MAT generation, CSR build, profile extraction).
+echo "==== set-up perf lane smoke (release, MTAT_SCALE=smoke, fresh entry report) ===="
+smoke_dir=$(mktemp -d)
+cp BENCH_setup.json "${smoke_dir}/"
+(cd "${smoke_dir}" &&
+ MTAT_SCALE=smoke MTAT_PERF_LABEL=check-smoke "${repo_root}/build-check/release/bench/perf_setup" &&
+ "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_setup.json)
 rm -rf "${smoke_dir}"
 
 # The repository benchmark (perfbench/) compiles src/ on its own; its
