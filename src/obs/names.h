@@ -104,6 +104,8 @@ inline constexpr const char* kPerfHotnessRecordAgePerSec = "perf.hotness_record_
 inline constexpr const char* kPerfHotnessPullPerSec = "perf.hotness_pull_per_sec";
 inline constexpr const char* kPerfMigrationsPerSec = "perf.migrations_per_sec";
 inline constexpr const char* kPerfSacInferencePerSec = "perf.sac_inference_per_sec";
+inline constexpr const char* kPerfSacUpdatesPerSec = "perf.sac_updates_per_sec";
+inline constexpr const char* kPerfMtatSimStepsPerSec = "perf.mtat_sim_steps_per_sec";
 inline constexpr const char* kPerfClusterQuarterStepsPerSec = "perf.cluster_quarter_steps_per_sec";
 inline constexpr const char* kPerfClusterHalfStepsPerSec = "perf.cluster_half_steps_per_sec";
 inline constexpr const char* kPerfClusterFullStepsPerSec = "perf.cluster_full_steps_per_sec";
@@ -162,7 +164,8 @@ inline constexpr const char* kAllMetricNames[] = {
     kClusterFailoverQueuedTenants, kClusterFailoverRetries, kClusterFailoverWarmRestarts,
     kClusterFailoverColdRestarts, kClusterFailoverPlacementMode, kPerfSimStepsPerSec,
     kPerfSamplerIngestPerSec, kPerfHotnessRecordAgePerSec, kPerfHotnessPullPerSec,
-    kPerfMigrationsPerSec, kPerfSacInferencePerSec, kPerfClusterQuarterStepsPerSec,
+    kPerfMigrationsPerSec, kPerfSacInferencePerSec, kPerfSacUpdatesPerSec,
+    kPerfMtatSimStepsPerSec, kPerfClusterQuarterStepsPerSec,
     kPerfClusterHalfStepsPerSec, kPerfClusterFullStepsPerSec, kPerfRmatEdgesPerSec,
     kPerfCsrEdgesPerSec, kPerfProfileAccessesPerSec};
 

@@ -54,40 +54,38 @@ std::vector<double> SacAgent::concat(const std::vector<double>& a, const std::ve
   return out;
 }
 
-SacAgent::PolicySample SacAgent::sample_policy(const std::vector<double>& state,
-                                               Mlp::Cache* cache) {
-  PolicySample ps;
-  Mlp::Cache local;
-  const std::vector<double> head =
-      cache ? actor_.forward_cached(state, *cache) : actor_.forward_cached(state, local);
-  const int dim = cfg_.action_dim;
-  ps.mean.assign(head.begin(), head.begin() + dim);
-  ps.log_std.resize(dim);
-  ps.action.resize(dim);
-  ps.raw.resize(dim);
-  ps.eps.resize(dim);
-  for (int d = 0; d < dim; ++d) {
-    ps.log_std[d] = std::clamp(head[dim + d], kLogStdMin, kLogStdMax);
-    const double sigma = std::exp(ps.log_std[d]);
-    ps.eps[d] = rng_.next_gaussian();
-    ps.raw[d] = ps.mean[d] + sigma * ps.eps[d];
-    ps.action[d] = std::tanh(ps.raw[d]);
-    // log N(raw; mean, sigma) with raw = mean + sigma*eps, minus the tanh
-    // change-of-variables correction.
-    ps.log_prob += -0.5 * ps.eps[d] * ps.eps[d] - ps.log_std[d] - kHalfLog2Pi -
-                   std::log(1.0 - ps.action[d] * ps.action[d] + kTanhEps);
+void SacAgent::sample_policy(const std::vector<double>& head, std::size_t n) {
+  const std::size_t dim = cfg_.action_dim;
+  ws_.action.resize(dim * n);
+  ws_.log_std.resize(dim * n);
+  ws_.eps.resize(dim * n);
+  ws_.log_prob.assign(n, 0.0);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      const std::size_t k = d * n + s;
+      const double log_std = std::clamp(head[(dim + d) * n + s], kLogStdMin, kLogStdMax);
+      const double eps = rng_.next_gaussian();
+      const double raw = head[k] + std::exp(log_std) * eps;
+      const double a = std::tanh(raw);
+      ws_.log_std[k] = log_std;
+      ws_.eps[k] = eps;
+      ws_.action[k] = a;
+      // log N(raw; mean, sigma) with raw = mean + sigma*eps, minus the tanh
+      // change-of-variables correction.
+      ws_.log_prob[s] += -0.5 * eps * eps - log_std - kHalfLog2Pi -
+                         std::log(1.0 - a * a + kTanhEps);
+    }
   }
-  return ps;
 }
 
 std::vector<double> SacAgent::act(const std::vector<double>& state, bool deterministic) {
-  std::vector<double> out;
+  const std::vector<double>& head = actor_.forward_batch(state, 1, ws_.actor);
+  std::vector<double> out(cfg_.action_dim);
   if (deterministic) {
-    const std::vector<double> head = actor_.forward(state);
-    out.resize(cfg_.action_dim);
     for (int d = 0; d < cfg_.action_dim; ++d) out[d] = std::tanh(head[d]);
   } else {
-    out = sample_policy(state, nullptr).action;
+    sample_policy(head, 1);
+    std::copy(ws_.action.begin(), ws_.action.end(), out.begin());
   }
   if (faults_ != nullptr) {
     // Injected policy pathology: the action the caller sees is replaced by
@@ -175,75 +173,116 @@ void SacAgent::set_run_context(obs::RunContext* ctx) {
 }
 
 void SacAgent::update_once() {
+  // Every phase runs its minibatch through the networks in one batched pass.
+  // The arithmetic per sample, and the order of the RNG draws (replay
+  // indices, then one Gaussian per action dimension of each live sample in
+  // the critic phase, then of each sample in the actor phase), are those of
+  // a one-sample-at-a-time loop, so the result is the same bit for bit
+  // (DESIGN.md §14.5).
+  Workspace& w = ws_;
+  if (updates_ == 0) {
+    // Size the workspace for a full minibatch up front: while the buffer
+    // fills toward batch_size, each update's batch is one sample larger and
+    // would otherwise regrow (and fragment) every buffer.
+    const std::size_t most = std::min(cfg_.batch_size, cfg_.buffer_capacity);
+    actor_.reserve(most, w.actor, w.scratch);
+    q1_.reserve(most, w.critic, w.scratch);
+  }
   const std::size_t batch = std::min(cfg_.batch_size, buffer_.size());
   const double inv_b = 1.0 / static_cast<double>(batch);
-  std::vector<const Transition*> samples(batch);
-  for (auto& s : samples) s = &buffer_.sample(rng_);
+  const double alpha = this->alpha();
+  const std::size_t sdim = cfg_.state_dim;
+  const std::size_t dim = cfg_.action_dim;
+  w.samples.resize(batch);
+  for (auto& s : w.samples) s = &buffer_.sample(rng_);
 
   // --- Critic update: y = r + gamma(1-done)(min Q'(s',a') - alpha log pi) ---
+  w.live.clear();
+  for (std::size_t s = 0; s < batch; ++s)
+    if (!w.samples[s]->done) w.live.push_back(s);
+  const std::size_t nl = w.live.size();
+  // Input block [s'; a'] of the live samples: states first, then the
+  // policy's actions appended as the last action_dim rows.
+  w.input.resize((sdim + dim) * nl);
+  for (std::size_t j = 0; j < nl; ++j)
+    for (std::size_t f = 0; f < sdim; ++f)
+      w.input[f * nl + j] = w.samples[w.live[j]]->next_state[f];
+  sample_policy(actor_.forward_batch({w.input.data(), sdim * nl}, nl, w.actor), nl);
+  std::copy(w.action.begin(), w.action.end(), w.input.begin() + sdim * nl);
+  w.q1 = q1_target_.forward_batch(w.input, nl, w.critic);
+  const std::vector<double>& q2t = q2_target_.forward_batch(w.input, nl, w.critic);
+  w.y.resize(batch);
+  for (std::size_t s = 0; s < batch; ++s) w.y[s] = w.samples[s]->reward;
+  for (std::size_t j = 0; j < nl; ++j)
+    w.y[w.live[j]] += cfg_.gamma * (std::min(w.q1[j], q2t[j]) - alpha * w.log_prob[j]);
+
+  // Input block [s; a] of the whole batch. Its first state_dim rows double
+  // as the actor's input block in the actor phase.
+  w.input.resize((sdim + dim) * batch);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const Transition& t = *w.samples[s];
+    for (std::size_t f = 0; f < sdim; ++f) w.input[f * batch + s] = t.state[f];
+    for (std::size_t d = 0; d < dim; ++d) w.input[(sdim + d) * batch + s] = t.action[d];
+  }
+  w.dout.resize(batch);
+  w.q1 = q1_.forward_batch(w.input, batch, w.critic);
+  for (std::size_t s = 0; s < batch; ++s) w.dout[s] = 2.0 * (w.q1[s] - w.y[s]);
+  q1_.backward_batch(w.critic, w.dout, inv_b, w.scratch);
+  w.q2 = q2_.forward_batch(w.input, batch, w.critic);
+  for (std::size_t s = 0; s < batch; ++s) w.dout[s] = 2.0 * (w.q2[s] - w.y[s]);
+  q2_.backward_batch(w.critic, w.dout, inv_b, w.scratch);
   double critic_loss = 0.0;
-  for (const Transition* t : samples) {
-    double y = t->reward;
-    if (!t->done) {
-      const PolicySample next = sample_policy(t->next_state, nullptr);
-      const std::vector<double> in = concat(t->next_state, next.action);
-      const double qmin = std::min(q1_target_.forward(in)[0], q2_target_.forward(in)[0]);
-      y += cfg_.gamma * (qmin - alpha() * next.log_prob);
-    }
-    const std::vector<double> in = concat(t->state, t->action);
-    Mlp::Cache c1, c2;
-    const double q1v = q1_.forward_cached(in, c1)[0];
-    const double q2v = q2_.forward_cached(in, c2)[0];
-    critic_loss += ((q1v - y) * (q1v - y) + (q2v - y) * (q2v - y)) * inv_b;
-    q1_.backward(c1, {2.0 * (q1v - y)}, inv_b);
-    q2_.backward(c2, {2.0 * (q2v - y)}, inv_b);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double e1 = w.q1[s] - w.y[s], e2 = w.q2[s] - w.y[s];
+    critic_loss += (e1 * e1 + e2 * e2) * inv_b;
   }
   q1_.adam_step(cfg_.critic_lr);
   q2_.adam_step(cfg_.critic_lr);
   last_critic_loss_ = critic_loss;
 
   // --- Actor update: minimize alpha*log pi - min Q(s, a(s)) ----------------
+  const std::vector<double>& head =
+      actor_.forward_batch({w.input.data(), sdim * batch}, batch, w.actor);
+  sample_policy(head, batch);
+  std::copy(w.action.begin(), w.action.end(), w.input.begin() + sdim * batch);
+  // dL/da through each critic (dout = -1, mean-scaled); only the input
+  // gradient is needed, the critics already took their step this round.
+  w.dout.assign(batch, -1.0);
+  const auto action_grad = [&](Mlp& q, std::vector<double>& qv, std::vector<double>& dq) {
+    qv = q.forward_batch(w.input, batch, w.critic);
+    const std::vector<double>& din = q.backward_batch(w.critic, w.dout, inv_b, w.scratch, false);
+    dq.assign(din.begin() + sdim * batch, din.end());
+  };
+  action_grad(q1_, w.q1, w.dq1);
+  action_grad(q2_, w.q2, w.dq2);
   double actor_loss = 0.0;
   double mean_log_prob = 0.0;
-  const int dim = cfg_.action_dim;
-  for (const Transition* t : samples) {
-    Mlp::Cache actor_cache;
-    const PolicySample ps = sample_policy(t->state, &actor_cache);
-    const std::vector<double> in = concat(t->state, ps.action);
-    Mlp::Cache c1, c2;
-    const double q1v = q1_.forward_cached(in, c1)[0];
-    const double q2v = q2_.forward_cached(in, c2)[0];
-    const double qmin = std::min(q1v, q2v);
-    actor_loss += (alpha() * ps.log_prob - qmin) * inv_b;
-    mean_log_prob += ps.log_prob * inv_b;
-    // dL/da through the smaller critic (dout = -1, mean-scaled).
-    Mlp& qsel = q1v <= q2v ? q1_ : q2_;
-    const std::vector<double> din =
-        qsel.backward(q1v <= q2v ? c1 : c2, {-1.0}, inv_b);
-    // Assemble gradients w.r.t. the actor head [mean..., log_std...].
-    std::vector<double> dhead(2 * dim, 0.0);
-    for (int d = 0; d < dim; ++d) {
-      const double a = ps.action[d];
+  // Gradients w.r.t. the actor head [mean..., log_std...].
+  w.dhead.assign(2 * dim * batch, 0.0);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double q1v = w.q1[s], q2v = w.q2[s];
+    actor_loss += (alpha * w.log_prob[s] - std::min(q1v, q2v)) * inv_b;
+    mean_log_prob += w.log_prob[s] * inv_b;
+    // The gradient flows through the smaller critic.
+    const std::vector<double>& dq = q1v <= q2v ? w.dq1 : w.dq2;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const std::size_t k = d * batch + s;
+      const double a = w.action[k];
       const double one_m_a2 = 1.0 - a * a;
-      const double dq_da = din[cfg_.state_dim + d];  // action slice of input grad
       // d(log pi)/d(raw): only the tanh correction depends on raw given eps.
       const double dlogp_draw = 2.0 * a * one_m_a2 / (one_m_a2 + kTanhEps);
-      const double g_raw = dq_da * one_m_a2 + (alpha() * inv_b) * dlogp_draw;
-      dhead[d] = g_raw;  // d raw / d mean = 1
+      const double g_raw = dq[k] * one_m_a2 + (alpha * inv_b) * dlogp_draw;
+      w.dhead[k] = g_raw;  // d raw / d mean = 1
       // d raw / d log_std = sigma * eps; d(log pi)/d log_std also has the -1
       // from the Gaussian entropy term. Zero where the clamp was active.
-      const bool clamped = ps.log_std[d] <= kLogStdMin || ps.log_std[d] >= kLogStdMax;
+      const bool clamped = w.log_std[k] <= kLogStdMin || w.log_std[k] >= kLogStdMax;
       if (!clamped)
-        dhead[dim + d] =
-            g_raw * std::exp(ps.log_std[d]) * ps.eps[d] - (alpha() * inv_b);
+        w.dhead[(dim + d) * batch + s] =
+            g_raw * std::exp(w.log_std[k]) * w.eps[k] - (alpha * inv_b);
     }
-    actor_.backward(actor_cache, dhead, 1.0);
   }
+  actor_.backward_batch(w.actor, w.dhead, 1.0, w.scratch);
   actor_.adam_step(cfg_.actor_lr);
-  // The actor pass accumulated gradients inside the critics as a side effect;
-  // discard them — the critics already took their step this round.
-  q1_.zero_grad();
-  q2_.zero_grad();
   last_actor_loss_ = actor_loss;
 
   // --- Temperature update: d/dlogalpha of -logalpha*(logpi + target_H) -----

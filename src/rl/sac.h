@@ -71,14 +71,24 @@ class SacAgent {
   double q_value(const std::vector<double>& state, const std::vector<double>& action) const;
 
  private:
-  struct PolicySample {
-    std::vector<double> action;    // tanh-squashed, in [-1,1]
-    std::vector<double> raw;       // pre-squash Gaussian draw
-    std::vector<double> mean, log_std, eps;
-    double log_prob = 0.0;
+  /// Buffers reused by every update() and act() call: once grown to the
+  /// batch size they stop allocating. One set serves all five networks.
+  /// Per-sample quantities are feature-major like the network blocks
+  /// (v[f * n + s] is feature f of sample s).
+  struct Workspace {
+    Mlp::Cache actor, critic;
+    Mlp::Scratch scratch;
+    std::vector<const Transition*> samples;
+    std::vector<std::size_t> live;  // indices of the samples with done == false
+    std::vector<double> input;      // network input block
+    std::vector<double> y, q1, q2, dout, dq1, dq2, dhead;
+    std::vector<double> action, log_std, eps, log_prob;  // sample_policy() output
   };
 
-  PolicySample sample_policy(const std::vector<double>& state, Mlp::Cache* cache);
+  /// Squashed-Gaussian policy sample for each of the `n` samples whose actor
+  /// head is `head` (2*action_dim x n): draws action_dim Gaussians per sample,
+  /// in sample order, and fills ws_.action/log_std/eps/log_prob.
+  void sample_policy(const std::vector<double>& head, std::size_t n);
   void update_once();
   static std::vector<double> concat(const std::vector<double>& a, const std::vector<double>& b);
 
@@ -94,6 +104,7 @@ class SacAgent {
   double last_critic_loss_ = 0.0;
   double last_actor_loss_ = 0.0;
   std::uint64_t updates_ = 0;
+  Workspace ws_;
   obs::TraceRecorder* trace_ = nullptr;
   faults::FaultInjector* faults_ = nullptr;
   obs::Counter* updates_c_ = nullptr;

@@ -28,10 +28,11 @@ std::string write_temp(const char* name, const std::string& body) {
 }
 
 Entry entry(const char* label,
-            std::vector<std::pair<std::string, double>> metrics) {
+            std::vector<std::pair<std::string, double>> metrics,
+            const char* scale = "small") {
   Entry e;
   e.label = label;
-  e.scale = "small";
+  e.scale = scale;
   e.metrics = std::move(metrics);
   return e;
 }
@@ -141,12 +142,69 @@ TEST(PerfDiffCompare, MissingAndExtraMetricKeysAreLoudErrors) {
   }
 }
 
+TEST(PerfDiffCompare, DifferentScalesAreALoudError) {
+  // A smoke-scale rate sits far below a small-scale one without anything
+  // having regressed; pairing them would print a false verdict.
+  try {
+    compare(entry("committed", {{"widgets", 100.0}}, "small"),
+            entry("fresh", {{"widgets", 50.0}}, "smoke"));
+    FAIL() << "expected a scale mismatch error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("small"), std::string::npos) << what;
+    EXPECT_NE(what.find("smoke"), std::string::npos) << what;
+    EXPECT_NE(what.find("fresh"), std::string::npos) << what;
+  }
+  EXPECT_EQ(compare(entry("a", {{"w", 1.0}}, "smoke"), entry("b", {{"w", 1.0}}, "smoke")).scale,
+            "smoke");
+}
+
 TEST(PerfDiffCompare, ZeroBaselines) {
   const Comparison c = compare(entry("before", {{"a", 0.0}, {"b", 0.0}}),
                                entry("after", {{"a", 5.0}, {"b", 0.0}}));
   EXPECT_TRUE(std::isinf(c.deltas[0].ratio()));
   EXPECT_DOUBLE_EQ(c.deltas[1].ratio(), 1.0);  // 0 -> 0 is "unchanged"
   EXPECT_FALSE(c.any_regression(0.15));
+}
+
+// --------------------------------------------------------- trajectory ----
+
+TEST(PerfDiffTrajectory, EachEntryIsGatedAgainstTheNearestEarlierSameScaleEntry) {
+  BenchFile f;
+  f.bench = "perf_core";
+  f.entries = {entry("a", {{"w", 1.0}}, "small"), entry("b", {{"w", 1.0}}, "small"),
+               entry("c", {{"w", 1.0}}, "smoke"), entry("d", {{"w", 1.0}}, "small"),
+               entry("e", {{"w", 1.0}}, "smoke")};
+  const std::vector<TrajectoryStep> steps = trajectory_steps(f);
+  ASSERT_EQ(steps.size(), 5u);
+  const char* expected_before[] = {nullptr, "a", nullptr, "b", "c"};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].after, &f.entries[i]);
+    if (expected_before[i] == nullptr) {
+      EXPECT_EQ(steps[i].before, nullptr) << steps[i].after->label;
+    } else {
+      ASSERT_NE(steps[i].before, nullptr) << steps[i].after->label;
+      EXPECT_EQ(steps[i].before->label, expected_before[i]);
+      EXPECT_EQ(steps[i].before->scale, steps[i].after->scale);
+    }
+  }
+}
+
+TEST(PerfDiffTrajectory, AFreshSmokeEntryAfterSmallEntriesIsComparedWithNothing) {
+  // The "fresh entry report" shape: committed small-scale entries, then one
+  // smoke run appended to a scratch copy. A 0.5x smoke rate is no regression.
+  BenchFile f;
+  f.bench = "perf_core";
+  f.entries = {entry("before", {{"w", 100.0}}), entry("after", {{"w", 120.0}}),
+               entry("fresh", {{"w", 50.0}}, "smoke")};
+  std::size_t compared = 0;
+  for (const TrajectoryStep& step : trajectory_steps(f)) {
+    if (step.before == nullptr) continue;
+    ++compared;
+    EXPECT_FALSE(compare(*step.before, *step.after).any_regression(0.15));
+  }
+  EXPECT_EQ(compared, 1u);
+  EXPECT_EQ(trajectory_steps(f).back().before, nullptr);
 }
 
 // ------------------------------------------------------------- report ----
@@ -167,15 +225,20 @@ TEST(PerfDiffReport, MarksRegressionsAndStatesTheVerdict) {
   EXPECT_EQ(ok.str().find("REGRESSED"), std::string::npos) << ok.str();
 }
 
-// The committed repo-root trajectory must always satisfy its own gate — this
-// is the same check the perf_diff_trajectory ctest runs via the CLI.
+// The committed repo-root trajectories must always satisfy their own gates —
+// the same check the perf_diff_*trajectory ctests run via the CLI.
 TEST(PerfDiffReport, CommittedTrajectoryHasNoAdjacentRegression) {
-  const BenchFile f = load_bench_file(std::string(MTAT_SOURCE_DIR) + "/BENCH_core.json");
-  ASSERT_GE(f.entries.size(), 2u) << "BENCH_core.json must carry before/after entries";
-  for (std::size_t i = 0; i + 1 < f.entries.size(); ++i) {
-    const Comparison c = compare(f.entries[i], f.entries[i + 1]);
-    EXPECT_FALSE(c.any_regression(0.15))
-        << f.entries[i].label << " -> " << f.entries[i + 1].label;
+  for (const char* name :
+       {"BENCH_core.json", "BENCH_cluster.json", "BENCH_setup.json", "BENCH_policy.json"}) {
+    const BenchFile f = load_bench_file(std::string(MTAT_SOURCE_DIR) + "/" + name);
+    std::size_t compared = 0;
+    for (const TrajectoryStep& step : trajectory_steps(f)) {
+      if (step.before == nullptr) continue;
+      ++compared;
+      EXPECT_FALSE(compare(*step.before, *step.after).any_regression(0.15))
+          << name << ": " << step.before->label << " -> " << step.after->label;
+    }
+    EXPECT_GE(compared, 1u) << name << " must carry before/after entries";
   }
 }
 

@@ -109,23 +109,29 @@ for lane in release asan; do
   rm -rf "${smoke_dir}"
 done
 
-# The perf lane end-to-end: gate the committed trajectory (same check the
-# perf_diff_trajectory ctest runs in every lane), then append a fresh
-# smoke-scale entry to a scratch copy and report it against the committed
-# tail. The report is informational (--report-only): absolute ops/s from
-# this machine are not comparable to the committed entries' machine.
+# The perf lanes end-to-end: gate the committed trajectories (same checks
+# the perf_diff_*trajectory ctests run in every lane), then append a fresh
+# smoke-scale entry to a scratch copy and report it. perf_diff compares an
+# entry only with an earlier entry at its own scale, so against the
+# small-scale committed entries the report names the fresh entry as having
+# nothing to compare with; it still proves the lane runs and the file
+# round-trips. The report is informational (--report-only): absolute ops/s
+# from this machine are not comparable to the committed entries' machine.
 echo "==== perf regression gate (perf_diff --trajectory BENCH_core.json) ===="
 "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_core.json
 echo "==== perf regression gate (perf_diff --trajectory BENCH_cluster.json) ===="
 "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_cluster.json
 echo "==== perf regression gate (perf_diff --trajectory BENCH_setup.json) ===="
 "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_setup.json
+echo "==== policy perf gate (perf_diff --trajectory BENCH_policy.json) ===="
+"${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_policy.json
 echo "==== perf lane smoke (release, MTAT_SCALE=smoke, fresh entry report) ===="
 smoke_dir=$(mktemp -d)
-cp BENCH_core.json "${smoke_dir}/"
+cp BENCH_core.json BENCH_policy.json "${smoke_dir}/"
 (cd "${smoke_dir}" &&
  MTAT_SCALE=smoke MTAT_PERF_LABEL=check-smoke "${repo_root}/build-check/release/bench/perf_core" &&
- "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_core.json)
+ "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_core.json &&
+ "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_policy.json)
 rm -rf "${smoke_dir}"
 # Same for the set-up lane (R-MAT generation, CSR build, profile extraction).
 echo "==== set-up perf lane smoke (release, MTAT_SCALE=smoke, fresh entry report) ===="

@@ -4,9 +4,11 @@
 //   perf_diff [--threshold=X] [--report-only] BEFORE.json AFTER.json
 //       Compare the last entry of each trajectory file.
 //   perf_diff [--threshold=X] [--report-only] --trajectory FILE.json
-//       Compare every adjacent entry pair within one trajectory file — the
-//       deterministic gate tools/check.sh and CI run on the committed
-//       BENCH_core.json, whose entries were produced on one machine.
+//       Compare every entry within one trajectory file with the nearest
+//       earlier entry at the same scale — the deterministic gate
+//       tools/check.sh and CI run on the committed BENCH_*.json files, whose
+//       entries were produced on one machine. An entry with no earlier
+//       same-scale entry is reported by name and compared with nothing.
 //
 // --threshold=X     noise tolerance as a fraction (default 0.15: a metric
 //                   may lose up to 15% before the gate trips)
@@ -68,13 +70,15 @@ int main(int argc, char** argv) {
     std::vector<mtat::perf_diff::Comparison> comparisons;
     if (trajectory) {
       const mtat::perf_diff::BenchFile f = mtat::perf_diff::load_bench_file(files[0]);
-      if (f.entries.size() < 2) {
-        std::printf("perf_diff: %s has %zu entr%s — nothing to compare\n", files[0].c_str(),
-                    f.entries.size(), f.entries.size() == 1 ? "y" : "ies");
-        return 0;
+      for (const mtat::perf_diff::TrajectoryStep& step : mtat::perf_diff::trajectory_steps(f)) {
+        if (step.before != nullptr) {
+          comparisons.push_back(mtat::perf_diff::compare(*step.before, *step.after));
+        } else {
+          std::printf("perf_diff: \"%s\" has no earlier entry at scale \"%s\" in %s — "
+                      "nothing to compare\n",
+                      step.after->label.c_str(), step.after->scale.c_str(), files[0].c_str());
+        }
       }
-      for (std::size_t i = 0; i + 1 < f.entries.size(); ++i)
-        comparisons.push_back(mtat::perf_diff::compare(f.entries[i], f.entries[i + 1]));
     } else {
       const mtat::perf_diff::BenchFile before = mtat::perf_diff::load_bench_file(files[0]);
       const mtat::perf_diff::BenchFile after = mtat::perf_diff::load_bench_file(files[1]);

@@ -78,6 +78,10 @@ bool Comparison::any_regression(double threshold) const {
 }
 
 Comparison compare(const Entry& before, const Entry& after) {
+  if (before.scale != after.scale)
+    throw std::runtime_error("scales differ: \"" + before.label + "\" was measured at scale \"" +
+                             before.scale + "\" and \"" + after.label + "\" at scale \"" +
+                             after.scale + "\"; only same-scale entries are comparable");
   std::set<std::string> before_keys, after_keys;
   for (const auto& [k, v] : before.metrics) before_keys.insert(k);
   for (const auto& [k, v] : after.metrics) after_keys.insert(k);
@@ -96,6 +100,7 @@ Comparison compare(const Entry& before, const Entry& after) {
   Comparison c;
   c.before_label = before.label;
   c.after_label = after.label;
+  c.scale = after.scale;
   for (const auto& [name, before_v] : before.metrics) {
     Delta d;
     d.metric = name;
@@ -107,9 +112,23 @@ Comparison compare(const Entry& before, const Entry& after) {
   return c;
 }
 
+std::vector<TrajectoryStep> trajectory_steps(const BenchFile& f) {
+  std::vector<TrajectoryStep> steps;
+  for (std::size_t i = 0; i < f.entries.size(); ++i) {
+    const Entry* before = nullptr;
+    for (std::size_t j = i; j-- > 0;)
+      if (f.entries[j].scale == f.entries[i].scale) {
+        before = &f.entries[j];
+        break;
+      }
+    steps.push_back({before, &f.entries[i]});
+  }
+  return steps;
+}
+
 void print_report(std::ostream& os, const Comparison& c, double threshold) {
-  os << "perf_diff: \"" << c.before_label << "\" -> \"" << c.after_label
-     << "\" (regression threshold " << threshold * 100.0 << "%)\n";
+  os << "perf_diff: \"" << c.before_label << "\" -> \"" << c.after_label << "\" at scale \""
+     << c.scale << "\" (regression threshold " << threshold * 100.0 << "%)\n";
   bool any = false;
   for (const Delta& d : c.deltas) {
     const bool bad = d.regressed(threshold);

@@ -10,6 +10,10 @@
 //  * the two entries must carry exactly the same metric keys. A missing or
 //    extra key is an error, not a skip: a renamed series would otherwise
 //    drop silently out of the gate;
+//  * the two entries must share a scale preset: rates measured on different
+//    input sizes are not comparable, so pairing them is an error too. Within
+//    one trajectory each entry is gated against the nearest earlier entry at
+//    its own scale;
 //  * malformed JSON, schema violations, and unreadable files all throw — the
 //    CLI maps them to exit code 2, distinct from exit 1 (regression), so a
 //    broken gate can never pass for a clean one.
@@ -62,14 +66,27 @@ struct Delta {
 struct Comparison {
   std::string before_label;
   std::string after_label;
+  std::string scale;
   std::vector<Delta> deltas;  ///< in `before`'s metric order
 
   bool any_regression(double threshold) const;
 };
 
-/// Pair up the two entries' metrics. Throws std::runtime_error when the key
-/// sets differ (reporting every missing/extra key by name).
+/// Pair up the two entries' metrics. Throws std::runtime_error when the
+/// entries' scales differ, or when the key sets differ (reporting every
+/// missing/extra key by name).
 Comparison compare(const Entry& before, const Entry& after);
+
+/// One entry of a trajectory and the entry it is gated against: the nearest
+/// earlier entry at the same scale, or null when no earlier entry has it.
+struct TrajectoryStep {
+  const Entry* before;
+  const Entry* after;
+};
+
+/// Every entry of `f`, in order, with its gate partner (see TrajectoryStep).
+/// The pointers point into `f`.
+std::vector<TrajectoryStep> trajectory_steps(const BenchFile& f);
 
 /// Human-readable table: one line per metric with before/after/speedup and a
 /// REGRESSED marker past the threshold, plus a verdict line.
