@@ -3,6 +3,12 @@
 // Used by the BE workload engine to draw telemetry samples from a kernel's
 // page-access profile at simulation time (hundreds of thousands of draws per
 // simulated second, so O(log n) inversion sampling would dominate the run).
+//
+// Draws come in blocks (draw()): a block's random numbers are drawn first,
+// in exactly the per-sample order, while its table columns are prefetched;
+// the columns are then resolved in a second pass, so the table's cache
+// misses overlap instead of stalling one draw at a time. The one-sample
+// operator() is the n = 1 case of the same code.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +59,42 @@ class AliasSampler {
       if (prob_[i] >= 1.0) alias_[i] = static_cast<std::uint32_t>(i);
   }
 
+  /// Draws per block of draw(): the random numbers and prefetches of up to
+  /// this many samples are in flight before the first column is resolved.
+  static constexpr std::size_t kBlock = 64;
+
   /// Draw one index distributed according to the weights.
   std::uint32_t operator()(Rng& rng) const {
-    const std::uint32_t col = static_cast<std::uint32_t>(rng.next_below(prob_.size()));
-    return rng.next_double() < prob_[col] ? col : alias_[col];
+    std::uint32_t out;
+    draw(rng, &out, 1);
+    return out;
+  }
+
+  /// Fill out[0, n) with n draws, bit-identical to n calls of operator() and
+  /// leaving `rng` at the same position: each sample takes next_below (its
+  /// column), then next_double (the coin against the column's probability).
+  void draw(Rng& rng, std::uint32_t* out, std::size_t n) const {
+    double coin[kBlock] = {};
+    while (n > 0) {
+      const std::size_t m = n < kBlock ? n : kBlock;
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto col = static_cast<std::uint32_t>(rng.next_below(prob_.size()));
+        coin[i] = rng.next_double();
+        out[i] = col;
+        __builtin_prefetch(prob_.data() + col);
+        __builtin_prefetch(alias_.data() + col);
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t col = out[i];
+        const std::uint32_t alias = alias_[col];
+        // Branch-free select: the coin is unpredictable by construction, so a
+        // branch here would mispredict on a large share of draws.
+        const std::uint32_t keep = 0u - static_cast<std::uint32_t>(coin[i] < prob_[col]);
+        out[i] = alias ^ ((col ^ alias) & keep);
+      }
+      out += m;
+      n -= m;
+    }
   }
 
   std::size_t size() const { return prob_.size(); }

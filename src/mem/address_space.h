@@ -8,6 +8,7 @@
 // LLC miss — the unit the paper's PEBS events count — not once per load.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -23,6 +24,14 @@ class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
   virtual void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) = 0;
+
+  /// `n` samples of workload `w`, in stream order. Must be equivalent to n
+  /// on_sampled_access calls; the default is exactly that loop, and
+  /// AccessSampler overrides it to overlap the samples' cache misses.
+  virtual void on_sampled_batch(WorkloadId w, const PageId* pages, std::size_t n,
+                                AccessKind kind) {
+    for (std::size_t i = 0; i < n; ++i) on_sampled_access(w, pages[i], kind);
+  }
 };
 
 class AddressSpace {

@@ -103,6 +103,13 @@ class TieredMemory {
   TierId tier_of(PageId p) const { return info_[check(p)].tier; }
   WorkloadId owner_of(PageId p) const { return info_[check(p)].owner; }
 
+  /// Cache hint: start loading page `p`'s placement entry ahead of a
+  /// tier_of(p). No address is formed for an out-of-range id, which stays
+  /// for tier_of to reject.
+  void prefetch(PageId p) const {
+    if (p < info_.size()) __builtin_prefetch(info_.data() + p);
+  }
+
   std::size_t tier_count() const { return cfg_.tiers.size(); }
   TierId slowest_tier() const { return static_cast<TierId>(cfg_.tiers.size() - 1); }
   /// Migration links: link k connects tiers k and k+1.

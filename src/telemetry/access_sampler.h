@@ -6,7 +6,10 @@
 // sample of modelled accesses; AccessSampler classifies it by the page's
 // current tier, maintains the per-workload interval counters PP-M's RL state
 // is built from (FMem Access Ratio, Memory Access Count), and fans the sample
-// out to the registered PageHotness histograms.
+// out to the registered PageHotness histograms. Samples arrive one at a time
+// (AddressSpace) or in blocks (BEWorkload); both take the same delivery loop,
+// which requests the tier entries and hotness words of samples a fixed
+// distance ahead of the one it delivers.
 #pragma once
 
 #include <array>
@@ -44,47 +47,66 @@ struct IntervalCounters {
   }
 };
 
-class AccessSampler : public AccessObserver {
+class AccessSampler final : public AccessObserver {
  public:
   /// `sample_period` is the N of the AddressSpaces feeding this sampler; it is
   /// used only to scale sampled counts back to estimated true access counts.
   explicit AccessSampler(const TieredMemory& mem, std::uint64_t sample_period = 1)
       : mem_(&mem), sample_period_(sample_period == 0 ? 1 : sample_period) {}
 
+  /// A lone sample: the n = 1 case of the batch loop.
   void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) override {
-    if (faults_ != nullptr) {
-      if (faults_->drop_sample()) {
-        dropped_c_->inc();
-        return;
-      }
-      if (faults_->corrupt_sample()) {
-        // Misattribute the sample to a uniformly random page of the same
-        // workload — hotness and tier classification both go wrong, which is
-        // the PEBS-misattribution failure mode.
-        const std::vector<PageId>& pages = mem_->pages_of(w);
-        if (!pages.empty()) {
-          p = pages[faults_->pick(pages.size())];
-          corrupted_c_->inc();
-        }
-      }
-    }
+    on_sampled_batch(w, &p, 1, kind);
+  }
+
+  /// The one sample path. Delivers pages[0, n) strictly in order, each
+  /// exactly as a lone sample would be: fault draws (drop, then corrupt),
+  /// tier classification, the sinks that admit `w`, then the callbacks — so
+  /// a callback that migrates a page is seen by every later sample.
+  /// Callbacks must not register sinks or feed samples back into the sampler.
+  void on_sampled_batch(WorkloadId w, const PageId* pages, std::size_t n,
+                        AccessKind kind) override {
+    if (n == 0) return;
     if (current_.size() <= w) {
       current_.resize(static_cast<std::size_t>(w) + 1);
       cumulative_.resize(static_cast<std::size_t>(w) + 1);
     }
     IntervalCounters& c = current_[w];
-    const TierId tier = mem_->tier_of(p);
-    if (tier == kFastestTier)
-      ++c.fmem_accesses;
-    else
-      ++c.smem_accesses;
-    ++c.tier_accesses[tier];
-    if (kind == AccessKind::kRead)
-      ++c.reads;
-    else
-      ++c.writes;
-    for (PageHotness* h : sinks_) h->record_access(w, p);
-    for (const auto& cb : callbacks_) cb(w, p, kind);
+    const std::vector<PageHotness*>& sinks = route(w);
+    // The first sample's lines are loaded on use; warm the next ones.
+    const std::size_t warm = n < kPrefetchDistance ? n : kPrefetchDistance;
+    for (std::size_t i = 1; i < warm; ++i) prefetch(pages[i], sinks);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDistance < n) prefetch(pages[i + kPrefetchDistance], sinks);
+      PageId p = pages[i];
+      if (faults_ != nullptr) {
+        if (faults_->drop_sample()) {
+          dropped_c_->inc();
+          continue;
+        }
+        if (faults_->corrupt_sample()) {
+          // Misattribute the sample to a uniformly random page of the same
+          // workload — hotness and tier classification both go wrong, which
+          // is the PEBS-misattribution failure mode.
+          const std::vector<PageId>& owned = mem_->pages_of(w);
+          if (!owned.empty()) {
+            p = owned[faults_->pick(owned.size())];
+            corrupted_c_->inc();
+          }
+        }
+      }
+      const TierId tier = mem_->tier_of(p);
+      // Branch-free: which tier a sample lands in is unpredictable.
+      c.fmem_accesses += tier == kFastestTier;
+      c.smem_accesses += tier != kFastestTier;
+      ++c.tier_accesses[tier];
+      if (kind == AccessKind::kRead)
+        ++c.reads;
+      else
+        ++c.writes;
+      for (PageHotness* h : sinks) h->record_access(w, p);
+      for (const auto& cb : callbacks_) cb(w, p, kind);
+    }
   }
 
   /// Attach a fault injector (telemetry sample loss / corruption). Registers
@@ -98,8 +120,12 @@ class AccessSampler : public AccessObserver {
     }
   }
 
-  /// Attach a histogram that should receive every sample this monitor sees.
-  void add_sink(PageHotness* h) { sinks_.push_back(h); }
+  /// Attach a histogram that should receive every sample this monitor sees
+  /// (a filtered histogram records only its own workload's samples).
+  void add_sink(PageHotness* h) {
+    sinks_.push_back(h);
+    routes_.clear();
+  }
 
   /// The attached histograms, in registration order — read-only, for state
   /// fingerprinting (ColocationSim::fingerprint()).
@@ -135,6 +161,30 @@ class AccessSampler : public AccessObserver {
   std::uint64_t sample_period() const { return sample_period_; }
 
  private:
+  /// Samples whose tier entry and hotness words are requested ahead of the
+  /// one being delivered. A BE block holds AliasSampler::kBlock samples.
+  static constexpr std::size_t kPrefetchDistance = 16;
+
+  void prefetch(PageId p, const std::vector<PageHotness*>& sinks) const {
+    mem_->prefetch(p);
+    for (const PageHotness* h : sinks) h->prefetch(p);
+  }
+
+  /// The sinks whose filter admits workload `w`, in registration order.
+  /// Skipping the others changes nothing: a filtered histogram ignores every
+  /// other workload's samples.
+  const std::vector<PageHotness*>& route(WorkloadId w) {
+    if (routes_.size() <= w) {
+      const std::size_t from = routes_.size();
+      routes_.resize(static_cast<std::size_t>(w) + 1);
+      for (std::size_t r = from; r < routes_.size(); ++r)
+        for (PageHotness* h : sinks_)
+          if (h->workload_filter() == kInvalidWorkload || h->workload_filter() == r)
+            routes_[r].push_back(h);
+    }
+    return routes_[w];
+  }
+
   static void accumulate(IntervalCounters& into, const IntervalCounters& from) {
     into.fmem_accesses += from.fmem_accesses;
     into.smem_accesses += from.smem_accesses;
@@ -152,6 +202,8 @@ class AccessSampler : public AccessObserver {
   std::vector<IntervalCounters> current_;
   std::vector<IntervalCounters> cumulative_;
   std::vector<PageHotness*> sinks_;
+  /// routes_[w]: route(w)'s sink list; rebuilt lazily after add_sink.
+  std::vector<std::vector<PageHotness*>> routes_;
   std::vector<SampleCallback> callbacks_;
 };
 

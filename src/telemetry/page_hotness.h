@@ -87,6 +87,12 @@ class PageHotness : public MigrationListener {
     record_bin_move(p, word, eff);
   }
 
+  /// Cache hint: start loading page `p`'s packed word ahead of a
+  /// record_access(w, p). Forms no address for an id past the array.
+  void prefetch(PageId p) const {
+    if (p < words_.size()) __builtin_prefetch(words_.data() + p, /*rw=*/1);
+  }
+
   /// Current (aged) access count of a page; 0 if never seen.
   std::uint32_t count_of(PageId p) const {
     return p < words_.size() && (words_[p] & kTrackedBit) ? effective_of(words_[p]) : 0;

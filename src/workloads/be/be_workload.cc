@@ -83,9 +83,16 @@ void BEWorkload::tick(Duration dt) {
                    static_cast<double>(cfg_.sample_period);
   const auto n = static_cast<std::uint64_t>(sample_carry_);
   sample_carry_ -= static_cast<double>(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t vpage = (*alias_)(rng_);
-    sampler_->on_sampled_access(id_, first_page_ + vpage, AccessKind::kRead);
+  // One block at a time: draw the block's pages (the RNG sequence of n
+  // single draws), then hand them to the sampler as one batch. Drawing never
+  // reads placement, so drawing ahead of delivery changes no sample.
+  std::array<PageId, AliasSampler::kBlock> block;
+  for (std::uint64_t done = 0; done < n;) {
+    const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(n - done, block.size()));
+    alias_->draw(rng_, block.data(), m);
+    for (std::size_t i = 0; i < m; ++i) block[i] += first_page_;
+    sampler_->on_sampled_batch(id_, block.data(), m, AccessKind::kRead);
+    done += m;
   }
 }
 

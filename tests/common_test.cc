@@ -349,6 +349,24 @@ TEST(AliasSampler, SingleElement) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(s(r), 0u);
 }
 
+TEST(AliasSampler, BlockDrawsEqualSequentialDraws) {
+  // Every block size around the block boundary: same indices as one draw at
+  // a time, and the RNG left at the same position.
+  std::vector<double> w(257);
+  Rng g(59);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 5 == 0 ? 0.0 : g.next_double();
+  const AliasSampler s(w);
+  constexpr std::size_t kB = AliasSampler::kBlock;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 7}) {
+    Rng block_rng(61 + n);
+    Rng seq_rng(61 + n);
+    std::vector<std::uint32_t> block(n);
+    s.draw(block_rng, block.data(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(block[i], s(seq_rng)) << "n=" << n << " i=" << i;
+    EXPECT_EQ(block_rng.next_u64(), seq_rng.next_u64()) << "n=" << n;
+  }
+}
+
 // ---------------------------------------------------------------- Units ----
 
 TEST(Units, Conversions) {
