@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/digest.h"
 #include "obs/names.h"
 
 namespace mtat::cluster {
@@ -644,6 +645,39 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
   reg.gauge(obs::names::kClusterFmemUtilPct).set(r.fmem_util_pct);
   if (active) reg.counter(obs::names::kClusterEpochs).inc(static_cast<double>(epochs));
   return r;
+}
+
+std::uint64_t ClusterResult::digest() const {
+  Fnv1a h;
+  const auto count = [&h](auto n) { h.add_bits(static_cast<std::uint64_t>(n)); };
+  count(nodes.size());
+  for (const NodeResult& n : nodes) {
+    count(n.node_id);
+    count(n.tenants);
+    count(n.assigned_footprint);
+    count(n.ran);
+    for (const double x : {n.offered_krps, n.p99_ms, n.slo_violation_pct, n.fmem_util_pct})
+      h.add(x);
+    h.add_bits(n.sim.digest());
+  }
+  for (const double x : {offered_krps, completed_krps, slo_compliance_pct, max_p99_ms,
+                         p99_of_p99_ms, fmem_util_pct, node_sim_seconds})
+    h.add(x);
+  for (const int x : {overloaded_nodes, rebalanced_tenants, node_crashes, node_stragglers,
+                      node_blackouts, warm_restarts, cold_restarts, evacuations,
+                      failover_retries, unplaced_tenants})
+    count(x);
+  count(sim_steps);
+  count(epochs.size());
+  for (const EpochStats& e : epochs) {
+    for (const int x : {e.epoch, e.alive_nodes, e.crashed_nodes, e.straggler_nodes,
+                        e.blackout_nodes, e.suspected_nodes, e.evacuated_tenants,
+                        e.queued_tenants, e.placement_mode})
+      count(x);
+    for (const double x : {e.window_s, e.offered_krps, e.completed_krps, e.slo_compliance_pct})
+      h.add(x);
+  }
+  return h.value();
 }
 
 }  // namespace mtat::cluster

@@ -162,6 +162,12 @@ struct ClusterResult {
   int evacuations = 0;             ///< tenants moved off suspected nodes
   int failover_retries = 0;        ///< queued-tenant placement retries
   int unplaced_tenants = 0;        ///< tenants still queued when the run ended
+
+  /// FNV-1a over the bits of every simulated field: the fleet aggregates,
+  /// the epoch series and each node's result, its SimResult::digest()
+  /// included. NodeResult::metrics_csv is left out: it is an optional dump
+  /// of the node registry, wall-time metrics and all, not a result.
+  std::uint64_t digest() const;
 };
 
 class ClusterSim {

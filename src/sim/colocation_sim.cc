@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/digest.h"
 #include "obs/names.h"
 
 namespace mtat {
@@ -392,6 +393,25 @@ SimResult ColocationSim::result() const {
   r.policy_wall_us_per_interval =
       intervals > 0 ? (policy_wall_c_->value() - policy_wall_mark_) / intervals : 0.0;
   return r;
+}
+
+std::uint64_t SimResult::digest() const {
+  Fnv1a h;
+  h.add_bits(series.size());
+  for (const TimePoint& p : series) {
+    for (const double x : {p.t_sec, p.offered_rps, p.lc_p99_ms, p.lc_throughput_rps,
+                           p.lc_fmem_ratio, p.lc_fmem_share})
+      h.add(x);
+    h.add(p.be_fmem_share);
+    h.add(p.be_throughput);
+  }
+  for (const double x : {lc_p99_ms, slo_violation_rate, fairness, be_total_throughput,
+                         be_mean_np, migration_bytes_per_sec})
+    h.add(x);
+  h.add_bits(lc_completed);
+  h.add(be_rate);
+  h.add(be_np);
+  return h.value();
 }
 
 std::unique_ptr<ColocationSim> ColocationSim::restore(const SimCheckpoint& cp,

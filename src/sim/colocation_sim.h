@@ -142,6 +142,12 @@ struct SimResult {
   /// "derived.*" gauges carry the same values.
   double migration_bytes_per_sec = 0;      ///< PP-E overhead proxy (§5.5)
   double policy_wall_us_per_interval = 0;  ///< PP-M overhead proxy (§5.5)
+
+  /// FNV-1a over the bits of every simulated field, series included. It
+  /// leaves out policy_wall_us_per_interval, the one host wall-time field
+  /// (obs::names::is_wall_time_metric's domain), so two same-seed runs
+  /// digest equal and any change to a simulated bit changes the digest.
+  std::uint64_t digest() const;
 };
 
 /// A deterministic checkpoint of a ColocationSim (DESIGN.md §17): the
