@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/digest.h"
+
 namespace mtat {
 
 /// xoshiro256** 1.0. Public-domain algorithm; all-zero state is invalid, so the
@@ -126,20 +128,12 @@ class ScrambledZipfianGenerator {
   ScrambledZipfianGenerator(std::uint64_t n, double theta) : zipf_(n, theta), n_(n) {}
 
   std::uint64_t operator()(Rng& rng) const {
-    const std::uint64_t rank = zipf_(rng);
-    return fnv1a64(rank) % n_;
+    Fnv1a h;
+    h.add_bits(zipf_(rng));
+    return h.value() % n_;
   }
 
  private:
-  static std::uint64_t fnv1a64(std::uint64_t v) {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-    return h;
-  }
-
   ZipfianGenerator zipf_;
   std::uint64_t n_;
 };

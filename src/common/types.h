@@ -26,20 +26,11 @@ using TierId = std::uint8_t;
 /// this (DRAM/CXL/NVM/remote is four).
 inline constexpr TierId kMaxTiers = 8;
 
-/// The fastest tier, by the ordering convention above. Policies address "the
+/// The fastest tier, by the ordering convention above. Code addresses "the
 /// fastest tier" / "one tier slower" through kFastestTier and TierId
-/// arithmetic rather than hard-coded two-tier names.
+/// arithmetic; there are no two-tier names outside the tests (tests/
+/// tier_aliases.h), so every module works on N-tier topologies unchanged.
 inline constexpr TierId kFastestTier = 0;
-
-/// Legacy two-tier spellings for the paper's testbed: tier 0 is FMem
-/// (32 GiB local DRAM, ~73 ns), tier 1 is SMem (256 GiB NUMA-remote DRAM
-/// emulating CXL, ~202 ns). mtat_lint's tier-literal rule bans these
-/// spellings outside src/mem/ and tests/ — everything above the substrate
-/// speaks TierId so it generalizes to N-tier topologies unchanged.
-struct Tier {
-  static constexpr TierId kFMem = 0;  ///< fast tier (local DRAM in the paper; 73 ns)
-  static constexpr TierId kSMem = 1;  ///< slow tier (emulated CXL in the paper; 202 ns)
-};
 
 /// Read/write discriminator for sampled accesses (the paper samples loads via
 /// MEM_LOAD_L3_MISS_RETIRED.* and stores via MEM_INST_RETIRED.ALL_STORES).

@@ -197,7 +197,7 @@ class TieredMemory {
  private:
   struct PageInfo {
     WorkloadId owner = kInvalidWorkload;
-    TierId tier = Tier::kSMem;
+    TierId tier = kFastestTier + 1;
   };
   struct WorkloadPages {
     std::vector<PageId> pages;

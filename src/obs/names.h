@@ -176,7 +176,7 @@ inline constexpr const char* kAllMetricNames[] = {
 /// throughput rated against host wall time by a perf_* bench.
 inline constexpr bool is_wall_time_metric(std::string_view name) {
   return name.find("wall") != std::string_view::npos ||
-         name.substr(0, 5) == "perf.";  // mtat-lint: allow(perf-name)
+         name.substr(0, 5) == "perf.";  // mtat-lint: allow(domain-name)
 }
 
 }  // namespace mtat::obs::names

@@ -1,5 +1,6 @@
 #include "sim/colocation_sim.h"
 
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -253,49 +254,27 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
 void ColocationSim::apply_bandwidth_model(double lc_offered_rps) {
   // One-step-lagged fixed point: demand is computed from the previous tick's
   // (possibly contended) rates, then the new factors apply to this tick.
+  // Each workload's access stream splits across tiers by the probability
+  // mass (BE) or page count (LC) resident there.
   const BandwidthModel& bw = cfg_.bandwidth;
-  if (mem_->tier_count() == 2) {
-    // The classic two-tier model, kept in its original arithmetic order so
-    // 2-tier runs stay bit-identical to the pre-tier-vector code.
-    double demand[2] = {0.0, 0.0};
-    for (const auto& be : be_) {
-      const double acc = be->current_rate() * be->config().profile.accesses_per_iteration;
-      demand[0] += acc * be->fmem_weight();
-      demand[1] += acc * (1.0 - be->fmem_weight());
-    }
-    const double lc_acc = lc_offered_rps * static_cast<double>(lc_->misses_per_request());
-    demand[0] += lc_acc * mem_->fmem_usage_ratio(lc_->id());
-    demand[1] += lc_acc * (1.0 - mem_->fmem_usage_ratio(lc_->id()));
-    const double cap[2] = {bw.fmem_accesses_per_sec, bw.smem_accesses_per_sec};
-    for (int t = 0; t < 2; ++t) {
-      const double target = bandwidth_factor(bw, demand[t] / cap[t]);
-      bw_factor_[t] = (1.0 - bw.damping) * bw_factor_[t] + bw.damping * target;
-      mem_->set_contention_factor(static_cast<TierId>(t), bw_factor_[t]);
-      bw_factor_g_[t]->set(bw_factor_[t]);
-    }
-  } else {
-    // N-tier: the same demand/inflation fixed point, with each workload's
-    // access stream split across tiers by the probability mass (BE) or page
-    // count (LC) resident there.
-    const TierId n = mem_->tier_count();
-    std::vector<double> demand(n, 0.0);
-    for (const auto& be : be_) {
-      const double acc = be->current_rate() * be->config().profile.accesses_per_iteration;
-      for (TierId t = 0; t < n; ++t) demand[t] += acc * be->tier_weight(t);
-    }
-    const double lc_acc = lc_offered_rps * static_cast<double>(lc_->misses_per_request());
-    const auto lc_total = static_cast<double>(mem_->workload_total(lc_->id()));
-    if (lc_total > 0) {
-      for (TierId t = 0; t < n; ++t)
-        demand[t] += lc_acc *
-                     static_cast<double>(mem_->workload_pages(lc_->id(), t)) / lc_total;
-    }
-    for (TierId t = 0; t < n; ++t) {
-      const double target = bandwidth_factor(bw, demand[t] / tier_accesses_per_sec(bw, t));
-      bw_factor_[t] = (1.0 - bw.damping) * bw_factor_[t] + bw.damping * target;
-      mem_->set_contention_factor(t, bw_factor_[t]);
-      if (t < 2) bw_factor_g_[t]->set(bw_factor_[t]);
-    }
+  const TierId n = mem_->tier_count();
+  std::array<double, kMaxTiers> demand{};
+  for (const auto& be : be_) {
+    const double acc = be->current_rate() * be->config().profile.accesses_per_iteration;
+    for (TierId t = 0; t < n; ++t) demand[t] += acc * be->tier_weight(t);
+  }
+  const double lc_acc = lc_offered_rps * static_cast<double>(lc_->misses_per_request());
+  const auto lc_total = static_cast<double>(mem_->workload_total(lc_->id()));
+  if (lc_total > 0) {
+    for (TierId t = 0; t < n; ++t)
+      demand[t] +=
+          lc_acc * static_cast<double>(mem_->workload_pages(lc_->id(), t)) / lc_total;
+  }
+  for (TierId t = 0; t < n; ++t) {
+    const double target = bandwidth_factor(bw, demand[t] / tier_accesses_per_sec(bw, t));
+    bw_factor_[t] = (1.0 - bw.damping) * bw_factor_[t] + bw.damping * target;
+    mem_->set_contention_factor(t, bw_factor_[t]);
+    if (t < 2) bw_factor_g_[t]->set(bw_factor_[t]);
   }
   if (inj_ != nullptr) {
     // An injected SMem latency spike stacks multiplicatively on top of the

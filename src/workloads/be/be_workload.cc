@@ -40,26 +40,20 @@ void BEWorkload::on_migration(PageId p, TierId from, TierId to) {
 }
 
 double BEWorkload::rate_for_weight(double fmem_weight) const {
-  const double lat_f = static_cast<double>(mem_->latency(kFastestTier));
-  const double lat_s = static_cast<double>(mem_->latency(kFastestTier + 1));
-  const double expected_lat = fmem_weight * lat_f + (1.0 - fmem_weight) * lat_s;
-  const double ns_per_iter =
-      cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected_lat / cfg_.mlp;
-  return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
+  return rate_under(fmem_weight, static_cast<double>(mem_->latency(kFastestTier)),
+                    static_cast<double>(mem_->latency(kFastestTier + 1)));
 }
 
 double BEWorkload::current_rate() const {
-  // Two tiers: the classic closed form over the fastest-tier weight (kept
-  // verbatim so the 2-tier arithmetic is bit-identical to the pre-tier-vector
-  // code). Deeper cascades weigh every tier's latency by the probability mass
-  // resident there.
+  // Two tiers keep the closed form over the fastest-tier weight. The N-tier
+  // sum below is not bitwise equal at n = 2: it reads the separately tracked
+  // slower-tier weight, which is not bitwise 1 - w0, so dropping this return
+  // moves every 2-tier output and needs its own named re-baseline.
   if (mem_->tier_count() == 2) return rate_for_weight(tier_weight_[kFastestTier]);
   double expected_lat = 0.0;
   for (TierId t = 0; t < mem_->tier_count(); ++t)
     expected_lat += tier_weight_[t] * static_cast<double>(mem_->latency(t));
-  const double ns_per_iter =
-      cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected_lat / cfg_.mlp;
-  return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
+  return rate_at_latency(expected_lat);
 }
 
 double BEWorkload::rate_at_pages(std::uint64_t fmem_pages) const {

@@ -82,10 +82,7 @@ class BEWorkload : public MigrationListener {
   /// planners evaluate hypothetical placements under hypothetical bandwidth
   /// conditions without touching the live memory state.
   double rate_under(double fmem_weight, double lat_fmem_ns, double lat_smem_ns) const {
-    const double expected = fmem_weight * lat_fmem_ns + (1.0 - fmem_weight) * lat_smem_ns;
-    const double ns_per_iter =
-        cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected / cfg_.mlp;
-    return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
+    return rate_at_latency(fmem_weight * lat_fmem_ns + (1.0 - fmem_weight) * lat_smem_ns);
   }
 
   /// Iterations accrued since the last call (per-interval throughput).
@@ -104,7 +101,15 @@ class BEWorkload : public MigrationListener {
   const BEConfig& config() const { return cfg_; }
 
  private:
+  /// rate_under() at the live latencies of the two fastest tiers.
   double rate_for_weight(double fmem_weight) const;
+  /// The one rate formula: iterations/s at a mean access latency (ns), the
+  /// per-iteration CPU time plus its misses' stall split across the MLP.
+  double rate_at_latency(double expected_lat_ns) const {
+    const double ns_per_iter =
+        cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected_lat_ns / cfg_.mlp;
+    return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
+  }
   /// Maintains the incremental per-tier resident weight sums (MigrationListener).
   void on_migration(PageId p, TierId from, TierId to) override;
 

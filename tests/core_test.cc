@@ -6,6 +6,7 @@
 #include "core/ppe.h"
 #include "core/ppm.h"
 #include "core/sa_partitioner.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -22,6 +22,7 @@
 #include "sim/experiments.h"
 #include "telemetry/access_sampler.h"
 #include "workloads/be/be_suite.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

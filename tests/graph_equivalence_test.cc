@@ -16,12 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/digest.h"
 #include "common/rng.h"
 #include "workloads/be/be_suite.h"
 #include "workloads/graph/graph.h"
@@ -181,22 +181,10 @@ TEST(GraphEquivalence, EmptyListAndOutOfRangeEndpoints) {
 /// FNV-1a over a profile: page count, every weight's bits, then
 /// accesses_per_iteration's bits.
 std::uint64_t ProfileDigest(const PageProfile& p) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t b;
-    std::memcpy(&b, &d, sizeof b);
-    return b;
-  };
-  mix(p.weight.size());
-  for (const double w : p.weight) mix(bits(w));
-  mix(bits(p.accesses_per_iteration));
-  return h;
+  Fnv1a h;
+  h.add(p.weight);
+  h.add(p.accesses_per_iteration);
+  return h.value();
 }
 
 struct PinnedProfile {

@@ -7,6 +7,7 @@
 
 #include "workloads/graph/graph_layout.h"
 #include "workloads/graph/kernels.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -3,6 +3,7 @@
 
 #include "workloads/kv/btree_store.h"
 #include "workloads/kv/hash_store.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -132,79 +132,25 @@ TEST(LintSource, KnownNameSpelledInlineMustUseConstant) {
   EXPECT_EQ(findings.size(), 2u) << dump(findings);
 }
 
-TEST(LintSource, FaultDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_fault_literal.cc");
-  // A known fault.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "fault-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  // A known fault.* name in a bare comparison — no registry call, so only
-  // fault-name can catch it.
-  EXPECT_TRUE(has(findings, "fault-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd fault.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "fault-name", 8, "unknown fault-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, ClusterDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_cluster_literal.cc");
-  // A known cluster.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "cluster-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  // A known cluster.* name in a bare comparison — no registry call, so only
-  // cluster-name can catch it.
-  EXPECT_TRUE(has(findings, "cluster-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd cluster.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "cluster-name", 8, "unknown cluster-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, NodeFaultSubFamilyReportsUnderItsOwnRule) {
-  const auto findings = lint_fixture("bad_node_fault_literal.cc");
-  // First-wins prefix matching: fault.node_* literals report as
-  // node-fault-name, never as the parent fault-name rule.
-  EXPECT_TRUE(has(findings, "node-fault-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_TRUE(has(findings, "node-fault-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "fault-name", 6, "")) << dump(findings);
-  EXPECT_FALSE(has(findings, "fault-name", 7, "")) << dump(findings);
-  // A typo'd fault.node_* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "node-fault-name", 8, "unknown node-fault-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, FailoverSubFamilyReportsUnderItsOwnRule) {
-  const auto findings = lint_fixture("bad_failover_literal.cc");
-  EXPECT_TRUE(has(findings, "failover-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_TRUE(has(findings, "failover-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "cluster-name", 6, "")) << dump(findings);
-  EXPECT_FALSE(has(findings, "cluster-name", 7, "")) << dump(findings);
-  EXPECT_TRUE(has(findings, "failover-name", 8, "unknown failover-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, PerfDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_perf_literal.cc");
-  // A known perf.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "perf-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  // A known perf.* name in a bare comparison — no registry call, so only
-  // perf-name can catch it.
-  EXPECT_TRUE(has(findings, "perf-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd perf.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "perf-name", 8, "unknown perf-domain name"))
-      << dump(findings);
+TEST(LintSource, DomainNameLiteralsFlaggedAnywhereOnALine) {
+  // One fixture per audited prefix (fault.*, cluster.*, perf.*), each with
+  // the same three lines.
+  for (const char* fixture :
+       {"bad_fault_literal.cc", "bad_cluster_literal.cc", "bad_perf_literal.cc"}) {
+    SCOPED_TRACE(fixture);
+    const auto findings = lint_fixture(fixture);
+    // A known name at a call site: both the call-site rule and the stricter
+    // anywhere-rule fire.
+    EXPECT_TRUE(has(findings, "domain-name", 6, "use the obs::names:: constant"))
+        << dump(findings);
+    // A known name in a bare comparison — no registry call, so only
+    // domain-name can catch it.
+    EXPECT_TRUE(has(findings, "domain-name", 7, "use the obs::names:: constant"))
+        << dump(findings);
+    EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
+    // A typo'd name reads as an unknown to declare.
+    EXPECT_TRUE(has(findings, "domain-name", 8, "unknown ")) << dump(findings);
+  }
 }
 
 TEST(LintSource, NonCanonicalUnitSuffixesAtCallSites) {
@@ -286,24 +232,6 @@ TEST(LintSource, UnannotatedMutexMemberIsReported) {
   EXPECT_EQ(findings.size(), 1u) << dump(findings);
 }
 
-TEST(LintSource, TierLiteralsOutsideMemAndTestsAreReported) {
-  const auto findings = lint_fixture("bad_tier_literal.cc");
-  EXPECT_TRUE(has(findings, "tier-literal", 6, "Tier::kFMem")) << dump(findings);
-  EXPECT_TRUE(has(findings, "tier-literal", 7, "Tier::kSMem")) << dump(findings);
-  EXPECT_EQ(findings.size(), 2u) << dump(findings);
-}
-
-TEST(LintSource, TierLiteralsAllowedInMemSubstrateAndTests) {
-  // The same contents are clean when the file lives under src/mem/ (where
-  // the aliases are defined) or tests/ (two-tier fixtures are deliberate).
-  const std::string contents = slurp(kFixtures / "bad_tier_literal.cc");
-  for (const char* rel : {"src/mem/some_file.cc", "tests/some_test.cc"}) {
-    std::vector<Finding> out;
-    lint_source(rel, contents, real_table(), {}, out);
-    EXPECT_TRUE(out.empty()) << rel << ":\n" << dump(out);
-  }
-}
-
 TEST(LintSource, StaleInlineAllowMarkerIsReported) {
   const auto findings = lint_fixture("bad_stale_allow.cc");
   EXPECT_TRUE(has(findings, "stale-suppression", 4, "allow(nondet)")) << dump(findings);
@@ -337,12 +265,10 @@ TEST(Suppression, RealAllowlistParses) {
   EXPECT_FALSE(allow.allows("nondet", "tests/obs_test.cc"));
   EXPECT_TRUE(allow.allows("getenv", "bench/env.h"));
   EXPECT_FALSE(allow.allows("getenv", "bench/harness.h"));
-  EXPECT_TRUE(allow.allows("fault-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("fault-name", "src/faults/fault_plan.h"));
-  EXPECT_TRUE(allow.allows("cluster-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("cluster-name", "src/cluster/cluster_sim.cc"));
-  EXPECT_TRUE(allow.allows("perf-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("perf-name", "bench/perf_core.cc"));
+  EXPECT_TRUE(allow.allows("domain-name", "src/obs/names.h"));
+  EXPECT_FALSE(allow.allows("domain-name", "src/faults/fault_plan.h"));
+  EXPECT_FALSE(allow.allows("domain-name", "src/cluster/cluster_sim.cc"));
+  EXPECT_FALSE(allow.allows("domain-name", "bench/perf_core.cc"));
 }
 
 // ----------------------------------------------------------------- doc sync --
@@ -389,10 +315,8 @@ TEST(Run, FixtureTreeProducesEveryRule) {
   const std::vector<Finding> findings = run(opt);
   ASSERT_FALSE(findings.empty());
   for (const char* rule :
-       {"metric-name", "fault-name", "cluster-name", "perf-name", "node-fault-name",
-        "failover-name", "unit-suffix", "nondet",
-        "unsafe-parse", "getenv", "ns-header", "shared-mutable",
-        "unordered-iter", "pointer-order", "tier-literal", "guarded-by",
+       {"metric-name", "domain-name", "unit-suffix", "nondet", "unsafe-parse", "getenv",
+        "ns-header", "shared-mutable", "unordered-iter", "pointer-order", "guarded-by",
         "stale-suppression"}) {
     EXPECT_TRUE(std::any_of(findings.begin(), findings.end(),
                             [&](const Finding& f) { return f.rule == rule; }))

@@ -7,6 +7,7 @@
 
 #include "loadgen/load_pattern.h"
 #include "loadgen/queue_sim.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

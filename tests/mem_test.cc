@@ -8,6 +8,7 @@
 #include "mem/address_space.h"
 #include "mem/migration_engine.h"
 #include "mem/tiered_memory.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

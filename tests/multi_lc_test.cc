@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/multi_lc_mtat.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

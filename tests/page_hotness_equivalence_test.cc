@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "telemetry/page_hotness.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

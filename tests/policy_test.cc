@@ -8,6 +8,7 @@
 #include "policy/damon_policy.h"
 #include "policy/static_policy.h"
 #include "policy/tpp_policy.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

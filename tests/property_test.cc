@@ -8,6 +8,7 @@
 #include "core/sa_partitioner.h"
 #include "sim/colocation_sim.h"
 #include "workloads/be/be_suite.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -9,6 +9,7 @@
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
 #include "workloads/be/be_suite.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

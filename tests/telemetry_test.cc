@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "telemetry/access_sampler.h"
 #include "telemetry/page_hotness.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

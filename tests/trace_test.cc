@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "workloads/kv/hash_store.h"
 #include "workloads/trace/trace_io.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -11,6 +11,7 @@
 #include "workloads/be/be_workload.h"
 #include "workloads/lc/lc_workload.h"
 #include "workloads/xsbench/xsbench.h"
+#include "tier_aliases.h"
 
 namespace mtat {
 namespace {

@@ -1,4 +1,4 @@
-// Fixture: fault-domain names spelled as literals. The fault-name rule flags
+// Fixture: fault.* names spelled as literals. The domain-name rule flags
 // them anywhere on a line — a known name at a registry call site, a known
 // name in a plain comparison (which metric-name would miss), and a typo'd
 // fault.* name that names.h has never heard of.

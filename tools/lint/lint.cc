@@ -217,7 +217,7 @@ class SourceLinter {
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind == Token::Kind::kString) {
-        check_strict_domains(t);
+        check_domain_name(t);
         continue;
       }
       if (t.kind != Token::Kind::kIdent) continue;
@@ -232,7 +232,6 @@ class SourceLinter {
       check_metric_call(i);
       check_pointer_order(i);
       check_unordered_begin(i);
-      check_tier_literal(i);
     }
   }
 
@@ -312,35 +311,20 @@ class SourceLinter {
   /// comparisons, map keys, and test expectations included. Those families
   /// are audited across tools (perf_diff, the placement policy, resilience
   /// claims), so the only blessed spelling is the obs::names:: constant.
-  void check_strict_domains(const Token& t) {
-    struct StrictDomain {
-      const char* prefix;
-      const char* rule;
-      const char* what;
-    };
-    // Matching is first-wins, so sub-family rows precede their parents: a
-    // failure-domain literal reports under its own rule, which lets the
-    // allowlist bless names.h for the sub-family without widening the
-    // parent-domain grant.
-    static const StrictDomain kStrictDomains[] = {
-        {"fault.node_", "node-fault-name", "node-fault-domain"},    // mtat-lint: allow(node-fault-name)
-        {"fault.", "fault-name", "fault-domain"},        // mtat-lint: allow(fault-name)
-        {"cluster.failover_", "failover-name", "failover-domain"},  // mtat-lint: allow(failover-name)
-        {"cluster.", "cluster-name", "cluster-domain"},  // mtat-lint: allow(cluster-name)
-        {"perf.", "perf-name", "perf-domain"},           // mtat-lint: allow(perf-name)
-    };
-    for (const StrictDomain& d : kStrictDomains) {
-      if (t.text.rfind(d.prefix, 0) != 0) continue;
+  void check_domain_name(const Token& t) {
+    static const char* const kDomains[] = {"fault.", "cluster.", "perf."};  // mtat-lint: allow(domain-name)
+    for (const char* prefix : kDomains) {
+      if (t.text.rfind(prefix, 0) != 0) continue;
+      const std::string family = std::string(prefix) + "*";
       if (names_.contains(t.text)) {
-        report(t.line, d.rule,
-               std::string(d.what) + " name literal \"" + t.text +
+        report(t.line, "domain-name",
+               family + " name literal \"" + t.text +
                    "\": use the obs::names:: constant from src/obs/names.h");
       } else {
-        report(t.line, d.rule,
-               std::string("unknown ") + d.what + " name \"" + t.text + "\": every " +
-                   d.prefix +
-                   "* metric/trace name must be declared in src/obs/names.h "
-                   "and referenced via its obs::names:: constant");
+        report(t.line, "domain-name",
+               "unknown " + family + " name \"" + t.text + "\": every " + family +
+                   " metric/trace name must be declared in src/obs/names.h and referenced "
+                   "via its obs::names:: constant");
       }
       return;
     }
@@ -400,27 +384,6 @@ class SourceLinter {
            "iteration over unordered container '" + t.text +
                "': visit order is hash/bucket-dependent and can leak into results, metrics, "
                "or trace order; use std::map/std::set or drain into a sorted vector first");
-  }
-
-  /// Raw two-tier aliases `Tier::kFMem` / `Tier::kSMem` outside the memory
-  /// substrate and the tests: code that names the two classic tiers directly
-  /// silently stops generalizing to N-tier topologies. Spell the fast tier
-  /// as kFastestTier, derive others with TierId arithmetic, or use the
-  /// slower-aggregate telemetry queries.
-  void check_tier_literal(std::size_t i) {
-    if (rel_.rfind("src/mem/", 0) == 0 || rel_.rfind("tests/", 0) == 0) return;
-    const Token& t = lexed_.tokens[i];
-    if (t.text != "Tier") return;
-    const Token* colons = tok(i + 1);
-    const Token* member = tok(i + 2);
-    if (colons == nullptr || member == nullptr || !is_punct(*colons, "::")) return;
-    if (member->kind != Token::Kind::kIdent ||
-        (member->text != "kFMem" && member->text != "kSMem"))
-      return;
-    report(member->line, "tier-literal",
-           "two-tier literal Tier::" + member->text +
-               " outside src/mem/ and tests/: use kFastestTier / TierId arithmetic (or the "
-               "slower-aggregate PageHotness queries) so the code works on N-tier topologies");
   }
 
   // -- model rules ----------------------------------------------------------
