@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lint.h"
@@ -133,29 +132,63 @@ TEST(LintSource, KnownNameSpelledInlineMustUseConstant) {
   EXPECT_EQ(findings.size(), 2u) << dump(findings);
 }
 
-TEST(LintSource, DomainNameLiteralsFlaggedAnywhereOnALine) {
-  // One fixture per audited prefix (fault.*, cluster.*, perf.*), each with
-  // the same three lines.
-  const std::pair<const char*, const char*> cases[] = {
-      {"bad_fault_literal.cc", "fault"},
-      {"bad_cluster_literal.cc", "cluster"},
-      {"bad_perf_literal.cc", "perf"}};
-  for (const auto& [fixture, family] : cases) {
-    SCOPED_TRACE(fixture);
-    const auto findings = lint_fixture(fixture);
-    // A known name at a call site: both the call-site rule and the stricter
-    // anywhere-rule fire.
-    EXPECT_TRUE(has(findings, "domain-name", 6, "use the obs::names:: constant"))
-        << dump(findings);
-    // A known name in a bare comparison — no registry call, so only
-    // domain-name can catch it.
-    EXPECT_TRUE(has(findings, "domain-name", 7, "use the obs::names:: constant"))
-        << dump(findings);
-    EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-    // A typo'd name reads as an unknown to declare.
-    EXPECT_TRUE(has(findings, "domain-name", 8, std::string("unknown ") + family + ".* name"))
-        << dump(findings);
-  }
+/// Every audited prefix (fault.*, cluster.*, perf.*) has a fixture with the
+/// same three lines, all reported by the one domain-name rule.
+void expect_domain_literals_flagged(const std::string& fixture, const std::string& family) {
+  const auto findings = lint_fixture(fixture);
+  // A known name at a call site: both the call-site rule and the stricter
+  // anywhere-rule fire.
+  EXPECT_TRUE(has(findings, "domain-name", 6, "use the obs::names:: constant"))
+      << dump(findings);
+  // A known name in a bare comparison — no registry call, so only
+  // domain-name can catch it.
+  EXPECT_TRUE(has(findings, "domain-name", 7, "use the obs::names:: constant"))
+      << dump(findings);
+  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
+  // A typo'd name reads as an unknown to declare.
+  EXPECT_TRUE(has(findings, "domain-name", 8, "unknown " + family + ".* name"))
+      << dump(findings);
+}
+
+/// A sub-family (fault.node_*, cluster.failover_*) reports under its
+/// family's domain-name rule, exactly once per literal, with the family's
+/// message — there is no separate sub-family rule to double-report it.
+void expect_sub_family_flagged_once(const std::string& fixture, const std::string& family) {
+  const auto findings = lint_fixture(fixture);
+  const auto domain_on = [&](int line) {
+    return std::count_if(findings.begin(), findings.end(), [&](const Finding& f) {
+      return f.rule == "domain-name" && f.line == line;
+    });
+  };
+  const std::string known = family + ".* name literal";
+  EXPECT_TRUE(has(findings, "domain-name", 6, known)) << dump(findings);
+  EXPECT_TRUE(has(findings, "domain-name", 7, known)) << dump(findings);
+  EXPECT_TRUE(has(findings, "domain-name", 8, "unknown " + family + ".* name"))
+      << dump(findings);
+  for (int line : {6, 7, 8}) EXPECT_EQ(domain_on(line), 1) << "line " << line << '\n'
+                                                            << dump(findings);
+}
+
+TEST(LintSource, FaultDomainLiteralsFlaggedAnywhereOnALine) {
+  expect_domain_literals_flagged("bad_fault_literal.cc", "fault");
+}
+
+TEST(LintSource, ClusterDomainLiteralsFlaggedAnywhereOnALine) {
+  expect_domain_literals_flagged("bad_cluster_literal.cc", "cluster");
+}
+
+TEST(LintSource, PerfDomainLiteralsFlaggedAnywhereOnALine) {
+  expect_domain_literals_flagged("bad_perf_literal.cc", "perf");
+}
+
+TEST(LintSource, NodeFaultSubFamilyReportsUnderItsOwnRule) {
+  // fault.node_* is part of fault.*: its own rule is domain-name.
+  expect_sub_family_flagged_once("bad_node_fault_literal.cc", "fault");
+}
+
+TEST(LintSource, FailoverSubFamilyReportsUnderItsOwnRule) {
+  // cluster.failover_* is part of cluster.*: its own rule is domain-name.
+  expect_sub_family_flagged_once("bad_failover_literal.cc", "cluster");
 }
 
 TEST(LintSource, NonCanonicalUnitSuffixesAtCallSites) {

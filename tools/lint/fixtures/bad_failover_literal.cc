@@ -1,6 +1,6 @@
-// Fixture: failover names spelled as literals. The failover-name rule owns
-// the cluster.failover_* sub-family (first-wins over cluster-name) and flags
-// them anywhere on a line — a known name at a registry call site, a known
+// Fixture: cluster.failover_* names spelled as literals. The sub-family has
+// no rule of its own: domain-name owns all of cluster.* and flags them once
+// each, anywhere on a line — a known name at a registry call site, a known
 // name in a plain comparison, and a typo'd cluster.failover_* name.
 void bad(mtat::obs::MetricsRegistry& reg, const std::string& row) {
   reg.counter("cluster.failover_evacuations").inc();

@@ -1,7 +1,7 @@
-// Fixture: node-fault names spelled as literals. The node-fault-name rule
-// owns the fault.node_* sub-family (first-wins over fault-name) and flags
-// them anywhere on a line — a known name at a registry call site, a known
-// name in a plain comparison, and a typo'd fault.node_* name.
+// Fixture: fault.node_* names spelled as literals. The sub-family has no rule
+// of its own: domain-name owns all of fault.* and flags them once each,
+// anywhere on a line — a known name at a registry call site, a known name in
+// a plain comparison, and a typo'd fault.node_* name.
 void bad(mtat::obs::MetricsRegistry& reg, const std::string& row) {
   reg.counter("fault.node_crashes").inc();
   if (row == "fault.node_stragglers") return;
